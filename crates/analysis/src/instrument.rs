@@ -76,7 +76,7 @@ pub enum Instrument {
     /// The §7 cache-activity decomposition.
     Activity(ActivityTracker),
     /// A whole direct-mapped configuration grid simulated in lockstep
-    /// (the batch replay kernel's sink).
+    /// (the grid kernel `Runner::grid` drives).
     Grid(GridCache),
     /// The windowed §6 cache/GC timeline sampler.
     Timeline(Timeline),

@@ -7,22 +7,27 @@
 //! * [`gc_overhead`] — `O_gc = ((M_gc + ΔM_prog) · P + I_gc + ΔI_prog) /
 //!   I_prog` (§6), where `ΔM_prog` may be negative (the collector can
 //!   *improve* the program's locality, as it does for nbody).
-//! * [`run_control`] — the §5 control experiment: run a workload with
+//! * [`Runner::control`] — the §5 control experiment: run a workload with
 //!   collection disabled against a grid of cache configurations in one
 //!   trace pass.
-//! * [`run_collected`] — the §6 experiment: the same workload under a
+//! * [`Runner::collected`] — the §6 experiment: the same workload under a
 //!   chosen collector ([`CollectorSpec`]), attributing misses and
 //!   instructions to program vs collector.
 //! * [`GcComparison`] — pairs the two runs and computes `O_gc`.
+//! * [`run_control`], [`run_collected`] — sequential one-[`Cache`]-per-
+//!   configuration twins of the two experiments, kept as test oracles
+//!   for the grid kernel behind [`Runner`].
 //!
 //! # Example
 //!
 //! ```
-//! use cachegc_core::{run_control, ExperimentConfig, SLOW};
+//! use cachegc_core::{ExperimentConfig, Runner, SLOW};
 //! use cachegc_workloads::Workload;
 //!
 //! let cfg = ExperimentConfig::quick();
-//! let report = run_control(Workload::Rewrite.scaled(1), &cfg).unwrap();
+//! let report = Runner::sequential()
+//!     .control(Workload::Rewrite.scaled(1), &cfg)
+//!     .unwrap();
 //! let cell = &report.cells[0];
 //! let o = report.cache_overhead(cell, &SLOW);
 //! assert!(o >= 0.0);
@@ -51,7 +56,7 @@ pub use experiment::{
 pub use overhead::{cache_overhead, gc_overhead, write_back_overhead};
 pub use runner::{default_jobs, Runner};
 pub use sched::{
-    CrewReport, EngineConfig, PacketFanout, PacketKind, ReplayKernel, Schedule, Scheduler, Stage,
+    CrewReport, EngineConfig, PacketFanout, PacketKind, Schedule, Scheduler, Stage,
     DEFAULT_CHUNK_EVENTS,
 };
 pub use store::{
@@ -76,5 +81,5 @@ pub use cachegc_sim::{
     miss_penalty_cycles, writeback_cycles, Cache, CacheConfig, CacheStats, GridCache, MainMemory,
     Processor, SetAssocCache, WriteHitPolicy, WriteMissPolicy, FAST, SLOW,
 };
-pub use cachegc_trace::{BatchDecodeStats, EventBatch, RecordedTrace, Recorder, EVENT_BATCH};
+pub use cachegc_trace::{EventBatch, RecordedTrace, Recorder, EVENT_BATCH};
 pub use cachegc_vm::RunStats;

@@ -36,19 +36,17 @@ use cachegc_analysis::Instrument;
 use cachegc_gc::{
     CheneyCollector, GenerationalCollector, ImmixCollector, MarkSweepCollector, NoCollector,
 };
-use cachegc_sim::{Cache, CacheConfig, GridCache};
+use cachegc_sim::{CacheConfig, CacheStats, GridCache};
 use cachegc_telemetry::{probe, Counter, EngineReport, Telemetry, WorkerStats};
-use cachegc_trace::{BatchDecodeStats, Fanout, RefCounter, TraceSink};
+use cachegc_trace::{Fanout, RefCounter, TraceSink};
 use cachegc_vm::{RunStats, VmError};
 use cachegc_workloads::WorkloadInstance;
 
 use crate::experiment::{
-    cache_cells, collected_run, control_report, CacheCell, CollectedRun, CollectorSpec,
-    ControlReport, ExperimentConfig, GcComparison,
+    collected_run, control_report, CacheCell, CollectedRun, CollectorSpec, ControlReport,
+    ExperimentConfig, GcComparison,
 };
-use crate::sched::{
-    CrewReport, EngineConfig, PacketFanout, PacketKind, ReplayKernel, Scheduler, Stage,
-};
+use crate::sched::{CrewReport, EngineConfig, PacketFanout, PacketKind, Scheduler, Stage};
 use crate::store::{
     scenario_label, Acquired, HitSource, OfferOutcome, RunCtx, StoredTrace, TraceStore,
 };
@@ -160,7 +158,7 @@ impl<'a> Runner<'a> {
     pub fn new(engine: EngineConfig) -> Runner<'static> {
         Runner {
             ctx: RunCtx::new(engine),
-            sched: Scheduler::new(engine.affinity),
+            sched: Scheduler::default(),
         }
     }
 
@@ -172,7 +170,7 @@ impl<'a> Runner<'a> {
     /// A runner over an existing context (for callers that already built
     /// a [`RunCtx`]).
     pub fn over(ctx: RunCtx<'a>) -> Runner<'a> {
-        let mut sched = Scheduler::new(ctx.engine.affinity);
+        let mut sched = Scheduler::default();
         if let Some(telemetry) = ctx.telemetry {
             sched = sched.with_telemetry(Arc::clone(telemetry));
         }
@@ -216,20 +214,12 @@ impl<'a> Runner<'a> {
     /// Same attachments, different engine.
     pub fn with_engine(mut self, engine: EngineConfig) -> Runner<'a> {
         self.ctx = self.ctx.with_engine(engine);
-        self.sched = self.sched.with_affinity(engine.affinity);
         self
     }
 
     /// Same attachments, engine rebudgeted to `jobs` workers.
     pub fn with_jobs(mut self, jobs: usize) -> Runner<'a> {
         self.ctx = self.ctx.with_jobs(jobs);
-        self
-    }
-
-    /// Same runner using `cmd` as the affinity pinning utility (test
-    /// hook: a nonexistent command exercises the graceful no-op path).
-    pub fn with_affinity_command(mut self, cmd: &str) -> Runner<'a> {
-        self.sched = self.sched.with_affinity_command(cmd);
         self
     }
 
@@ -247,8 +237,6 @@ impl<'a> Runner<'a> {
     /// caller must hold a probe shard on this thread).
     fn flush_crew(&self, report: &CrewReport) {
         probe!(Counter::SchedPackets, report.packets);
-        probe!(Counter::AffinityPinned, report.pinned as u64);
-        probe!(Counter::AffinityFallbacks, report.affinity_fallbacks as u64);
     }
 
     /// Replay a workload into an arbitrary sink set — the general engine
@@ -571,17 +559,16 @@ impl<'a> Runner<'a> {
     }
 
     /// Drive a direct-mapped configuration grid over one pass of
-    /// `instance` — the kernel-selecting terminal behind
-    /// [`Runner::control`] and [`Runner::collected`].
+    /// `instance` — the terminal behind [`Runner::control`] and
+    /// [`Runner::collected`].
     ///
-    /// Under [`ReplayKernel::Scalar`] (the default) the grid runs as
-    /// independent [`Cache`] sinks through [`Runner::sinks`] — the
-    /// bit-identity oracle. Under [`ReplayKernel::Batch`] the grid rides
-    /// as [`GridCache`] shards: a store hit is driven by the SWAR batch
-    /// decoder (one decode pass per worker for the whole grid, as
-    /// [`PacketKind::GridSimulate`] packets when sharded), and a live or
-    /// recording pass fans the stream into the grid shards. Cells come
-    /// back in input order with bit-identical statistics either way.
+    /// The grid rides as one [`GridCache`] shard per worker: a store hit
+    /// is driven by the batch decoder (one decode pass per worker for its
+    /// whole shard, as [`PacketKind::GridSimulate`] packets when sharded),
+    /// and a live or recording pass fans the stream into the shards
+    /// through [`Runner::sinks`]. Cells come back in input order, with
+    /// statistics bit-identical to one [`cachegc_sim::Cache`] per
+    /// configuration (the `run_control`/`run_collected` oracles).
     ///
     /// # Errors
     ///
@@ -593,14 +580,9 @@ impl<'a> Runner<'a> {
         configs: Vec<CacheConfig>,
     ) -> Result<(RunStats, Vec<CacheCell>), VmError> {
         let ctx = &self.ctx;
-        if ctx.engine.replay_kernel == ReplayKernel::Scalar {
-            let sinks: Vec<Cache> = configs.into_iter().map(Cache::new).collect();
-            let (stats, caches) = self.sinks(instance, spec, sinks)?;
-            return Ok((stats, cache_cells(caches)));
-        }
-        // Batch kernel. A recorded scenario replays through the batch
-        // decoder; otherwise the pass runs live (recording on a store
-        // miss) with the grid riding the stream as GridCache shards.
+        // A recorded scenario replays through the batch decoder;
+        // otherwise the pass runs live (recording on a store miss) with
+        // the grid riding the stream as GridCache shards.
         if let Some(store) = ctx.store {
             let hit = {
                 let _shard = ctx.telemetry.map(|t| t.attach());
@@ -667,11 +649,10 @@ impl<'a> Runner<'a> {
         Ok((stats, cells))
     }
 
-    /// A store hit under the batch kernel: one SWAR decode pass per
-    /// worker drives that worker's [`GridCache`] shard of the
-    /// configuration grid (in-thread when the engine budget is one
-    /// worker; [`PacketKind::GridSimulate`] packets otherwise). Cannot
-    /// fail — replay never re-runs the VM.
+    /// A store hit: one batched decode pass per worker drives that
+    /// worker's [`GridCache`] shard of the configuration grid (in-thread
+    /// when the engine budget is one worker; [`PacketKind::GridSimulate`]
+    /// packets otherwise). Cannot fail — replay never re-runs the VM.
     fn grid_replay(
         &self,
         stored: &Arc<StoredTrace>,
@@ -681,26 +662,20 @@ impl<'a> Runner<'a> {
         let n = configs.len();
         let events = stored.trace.events();
         let jobs = ctx.engine.jobs.clamp(1, n.max(1));
-        let (cells, decode) = {
+        let (cells, batches) = {
             let _replay = probe::phase("replay");
             if jobs <= 1 {
                 let mut grid = GridCache::new(configs);
-                let decode = stored.trace.replay_batched(|b| grid.consume(b));
+                let batches = stored.trace.replay_batched(|b| grid.consume(b));
                 let cells = grid
                     .into_cells()
                     .into_iter()
                     .map(|(config, stats)| CacheCell { config, stats })
                     .collect::<Vec<_>>();
-                (cells, decode)
+                (cells, batches)
             } else {
                 let shards = shard_configs(configs, jobs);
-                type GridSlot = Mutex<
-                    Option<(
-                        Vec<usize>,
-                        Vec<(CacheConfig, cachegc_sim::CacheStats)>,
-                        BatchDecodeStats,
-                    )>,
-                >;
+                type GridSlot = Mutex<Option<(Vec<usize>, Vec<(CacheConfig, CacheStats)>, u64)>>;
                 let slots: Vec<GridSlot> = (0..jobs).map(|_| Mutex::new(None)).collect();
                 let ((), report) = self.sched.run(jobs, |crew| {
                     for (j, shard) in shards.into_iter().enumerate() {
@@ -714,10 +689,10 @@ impl<'a> Runner<'a> {
                                 let (indices, cfgs): (Vec<usize>, Vec<CacheConfig>) =
                                     shard.into_iter().unzip();
                                 let mut grid = GridCache::new(cfgs);
-                                let decode = trace.trace.replay_batched(|b| grid.consume(b));
+                                let batches = trace.trace.replay_batched(|b| grid.consume(b));
                                 stats.events += events * indices.len() as u64;
                                 *slot.lock().expect("grid slot poisoned") =
-                                    Some((indices, grid.into_cells(), decode));
+                                    Some((indices, grid.into_cells(), batches));
                             },
                         );
                     }
@@ -725,15 +700,13 @@ impl<'a> Runner<'a> {
                 });
                 self.flush_crew(&report);
                 let mut out: Vec<Option<CacheCell>> = (0..n).map(|_| None).collect();
-                let mut decode = BatchDecodeStats::default();
+                let mut batches = 0;
                 for slot in slots {
-                    let (indices, shard_cells, d) = slot
+                    let (indices, shard_cells, b) = slot
                         .into_inner()
                         .expect("grid slot poisoned")
                         .expect("grid packet ran");
-                    decode.batches += d.batches;
-                    decode.swar_events += d.swar_events;
-                    decode.scalar_events += d.scalar_events;
+                    batches += b;
                     for (i, (config, stats)) in indices.into_iter().zip(shard_cells) {
                         out[i] = Some(CacheCell { config, stats });
                     }
@@ -742,11 +715,10 @@ impl<'a> Runner<'a> {
                     .into_iter()
                     .map(|c| c.expect("every grid cell accounted for"))
                     .collect::<Vec<_>>();
-                (cells, decode)
+                (cells, batches)
             }
         };
-        probe!(Counter::ReplayBatches, decode.batches);
-        probe!(Counter::ReplayScalarEvents, decode.scalar_events);
+        probe!(Counter::ReplayBatches, batches);
         probe!(Counter::GridCellsSimulated, events * n as u64);
         record_flat_engine(ctx, "replay", jobs, n, events);
         (stored.stats, cells)
@@ -754,8 +726,7 @@ impl<'a> Runner<'a> {
 
     /// The §5 control experiment: run `instance` with collection disabled
     /// against `cfg`'s cache grid in one trace pass (replayed from the
-    /// store when the scenario is recorded), through the engine's
-    /// configured replay kernel.
+    /// store when the scenario is recorded), through [`Runner::grid`].
     ///
     /// # Errors
     ///
@@ -771,8 +742,8 @@ impl<'a> Runner<'a> {
 
     /// The §6 experiment: `instance` under `spec`'s collector against
     /// `cfg`'s cache grid, attributing misses and instructions to program
-    /// vs collector (replayed from the store when recorded), through the
-    /// engine's configured replay kernel.
+    /// vs collector (replayed from the store when recorded), through
+    /// [`Runner::grid`].
     ///
     /// # Errors
     ///
@@ -983,9 +954,9 @@ impl<'a> Runner<'a> {
 mod tests {
     use super::*;
     use crate::experiment::{run_collected, run_control};
-    use crate::sched::{ReplayKernel, Schedule};
+    use crate::sched::Schedule;
     use cachegc_analysis::{ActivityTracker, BlockTracker, SweepPlot};
-    use cachegc_sim::{CacheConfig, SetAssocCache};
+    use cachegc_sim::{Cache, CacheConfig, SetAssocCache};
     use cachegc_workloads::Workload;
 
     fn grids_equal(a: &[crate::CacheCell], b: &[crate::CacheCell]) {
@@ -1115,72 +1086,61 @@ mod tests {
     }
 
     #[test]
-    fn cached_replay_matches_live_and_counts_one_vm_run() {
+    fn grid_matches_the_cache_oracles_on_every_path() {
         let cfg = ExperimentConfig::quick();
         let w = Workload::Rewrite.scaled(1);
-        let store = crate::TraceStore::unbounded();
-        let engine = EngineConfig::jobs(2).with_schedule(Schedule::WorkStealing);
-        let runner = Runner::new(engine).with_store(&store);
+        let ws = EngineConfig::jobs(2).with_schedule(Schedule::WorkStealing);
         let oracle = run_control(w, &cfg).unwrap();
-        let live = runner.control(w, &cfg).unwrap(); // miss: records
-        let replay = runner.control(w, &cfg).unwrap(); // hit: replays
-        assert_eq!(oracle.refs, live.refs);
-        assert_eq!(oracle.refs, replay.refs);
-        assert_eq!(oracle.i_prog, replay.i_prog);
-        assert_eq!(oracle.allocated, replay.allocated);
-        grids_equal(&oracle.cells, &live.cells);
-        grids_equal(&oracle.cells, &replay.cells);
-        let s = store.stats();
-        assert_eq!((s.hits, s.misses, s.entries, s.over_budget), (1, 1, 1, 0));
-        assert!(s.bytes > 0 && s.events == oracle.refs);
-        // Every later consumer of the same scenario — a different sink
-        // set, a sequential runner — replays too, VM still run once.
+        let check = |tag: &str, got: ControlReport| {
+            assert_eq!(oracle.refs, got.refs, "{tag}");
+            assert_eq!(oracle.i_prog, got.i_prog, "{tag}");
+            assert_eq!(oracle.allocated, got.allocated, "{tag}");
+            grids_equal(&oracle.cells, &got.cells);
+        };
+        // No store: GridCache shards ride a live packet pass.
+        check("live", Runner::new(ws).control(w, &cfg).unwrap());
+        let store = crate::TraceStore::unbounded();
+        let runner = Runner::new(ws).with_store(&store);
+        // Miss: the live pass records the scenario as it simulates.
+        check("record", runner.control(w, &cfg).unwrap());
+        // Hit on two workers: one GridSimulate packet per grid shard.
+        check("packet replay", runner.control(w, &cfg).unwrap());
+        // Hit on one worker: one in-thread decode pass for the whole grid.
         let seq = Runner::sequential().with_store(&store);
-        let again = seq.control(w, &cfg).unwrap();
-        grids_equal(&oracle.cells, &again.cells);
-        assert_eq!(store.stats().misses, 1, "VM ran exactly once");
-    }
-
-    #[test]
-    fn batch_kernel_matches_scalar_on_every_path() {
-        let cfg = ExperimentConfig::quick();
-        let w = Workload::Rewrite.scaled(1);
+        check("in-thread replay", seq.control(w, &cfg).unwrap());
+        let s = store.stats();
+        assert_eq!(
+            (s.misses, s.hits, s.entries, s.over_budget),
+            (1, 2, 1, 0),
+            "one recording, two replays"
+        );
+        assert!(s.bytes > 0 && s.events == oracle.refs);
+        // A collected pass, live-recorded then replayed, against the
+        // sequential `Vec<Cache>` oracle.
         let spec = CollectorSpec::Cheney {
             semispace_bytes: 512 << 10,
         };
-        let store = crate::TraceStore::unbounded();
-        let ws = EngineConfig::jobs(2).with_schedule(Schedule::WorkStealing);
-        let scalar = Runner::new(ws).with_store(&store);
-        let batch = scalar
-            .clone()
-            .with_engine(ws.with_replay_kernel(ReplayKernel::Batch));
-        // Scalar pass records; the batch pass replays through the SWAR
-        // decoder into sharded GridCache lanes.
-        let a = scalar.control(w, &cfg).unwrap();
-        let b = batch.control(w, &cfg).unwrap();
-        assert_eq!(a.refs, b.refs);
-        assert_eq!(a.i_prog, b.i_prog);
-        grids_equal(&a.cells, &b.cells);
-        // Live-and-recording under the batch kernel (miss path): the grid
-        // rides the stream as GridCache shards and the capture is stored.
-        let c = batch.collected(w, &cfg, spec).unwrap();
-        let d = scalar.collected(w, &cfg, spec).unwrap(); // hit: scalar replay
-        assert_eq!(c.i_gc, d.i_gc);
-        for (x, y) in c.cells.iter().zip(&d.cells) {
-            assert_eq!(x.config, y.config);
-            assert_eq!((x.m_prog, x.m_gc), (y.m_prog, y.m_gc));
-            assert_eq!(x.stats, y.stats);
+        let oracle = run_collected(w, &cfg, spec).unwrap();
+        for tag in ["collected record", "collected replay"] {
+            let got = runner.collected(w, &cfg, spec).unwrap();
+            assert_eq!(
+                (oracle.i_prog, oracle.i_gc),
+                (got.i_prog, got.i_gc),
+                "{tag}"
+            );
+            assert_eq!(oracle.gc.collections, got.gc.collections, "{tag}");
+            assert_eq!(oracle.cells.len(), got.cells.len(), "{tag}");
+            for (x, y) in oracle.cells.iter().zip(&got.cells) {
+                assert_eq!(x.config, y.config, "{tag}");
+                assert_eq!((x.m_prog, x.m_gc), (y.m_prog, y.m_gc), "{tag}");
+                assert_eq!(x.stats, y.stats, "{tag}: {}", x.config);
+            }
         }
-        // Sequential batch replay (one grid, one decode pass).
-        let seq = Runner::new(EngineConfig::default().with_replay_kernel(ReplayKernel::Batch))
-            .with_store(&store);
-        let e = seq.control(w, &cfg).unwrap();
-        grids_equal(&a.cells, &e.cells);
-        // No store: the batch kernel's live path needs no recording.
-        let f = Runner::new(ws.with_replay_kernel(ReplayKernel::Batch))
-            .control(w, &cfg)
-            .unwrap();
-        grids_equal(&a.cells, &f.cells);
+        assert_eq!(
+            store.stats().misses,
+            2,
+            "the collected scenario recorded once"
+        );
     }
 
     #[test]
@@ -1311,8 +1271,8 @@ mod tests {
             report.totals,
             "window sums reconstruct the aggregate"
         );
-        // Packet crews, the recording pass, the sharded replay, and the
-        // batch grid kernel all commit the same report.
+        // Packet crews, the recording pass, and the sharded and in-thread
+        // replays all commit the same report.
         let store = crate::TraceStore::unbounded();
         for (tag, runner) in [
             (
@@ -1327,11 +1287,7 @@ mod tests {
                 "replay",
                 Runner::new(EngineConfig::jobs(2)).with_store(&store),
             ),
-            (
-                "grid",
-                Runner::new(EngineConfig::jobs(2).with_replay_kernel(ReplayKernel::Batch))
-                    .with_store(&store),
-            ),
+            ("in-thread replay", Runner::sequential().with_store(&store)),
         ] {
             let rec = TimelineRecorder::new(spec);
             runner.with_timeline(&rec).control(w, &cfg).unwrap();
@@ -1355,16 +1311,5 @@ mod tests {
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].label, "drive:vm_execute");
         assert_eq!(runs[0].report.windows_sum(), runs[0].report.totals);
-    }
-
-    #[test]
-    fn affinity_runner_degrades_to_a_noop_with_a_missing_pinner() {
-        let cfg = ExperimentConfig::quick();
-        let w = Workload::Rewrite.scaled(1);
-        let seq = run_control(w, &cfg).unwrap();
-        let engine = EngineConfig::jobs(2).with_affinity(true);
-        let runner = Runner::new(engine).with_affinity_command("cachegc-no-such-pinner");
-        let par = runner.control(w, &cfg).unwrap();
-        grids_equal(&seq.cells, &par.cells);
     }
 }

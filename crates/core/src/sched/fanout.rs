@@ -274,7 +274,7 @@ mod tests {
 
     fn drive(engine: EngineConfig, kind: PacketKind, events: u32) -> Vec<RefCounter> {
         let sinks: Vec<RefCounter> = (0..5).map(|_| RefCounter::new()).collect();
-        let sched = Scheduler::new(false);
+        let sched = Scheduler::default();
         let (out, report) = sched.run(engine.jobs, |crew| {
             let mut fan = PacketFanout::new(crew, sinks, &engine, kind, None);
             for a in stream(events) {

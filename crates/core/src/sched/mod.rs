@@ -1,6 +1,5 @@
 //! The work-packet scheduler: typed packets in prioritized buckets,
-//! drained by a crew of workers with per-worker deques, work-stealing,
-//! and optional CPU affinity.
+//! drained by a crew of workers with per-worker deques and work-stealing.
 //!
 //! Modeled on mmtk-core's `scheduler` module: every unit of engine work —
 //! a VM execution, a trace recording, a replay shard, an instrument-cell
@@ -24,16 +23,7 @@
 //! cloneable *policy* handle; each operation spins up a scoped **crew**
 //! ([`Scheduler::run`]) whose workers live exactly as long as the
 //! operation. Packets may borrow anything that outlives the `run` call.
-//!
-//! # Affinity
-//!
-//! When [`EngineConfig::affinity`] is set, each crew worker tries to pin
-//! itself to core `i % available_parallelism()`. Pinning is strictly
-//! best-effort: on a 1-core container, under a restrictive sandbox, or
-//! when the pinning utility is missing, the attempt degrades to a no-op
-//! and is reported as a fallback in the [`CrewReport`] — never an error.
 
-mod affinity;
 pub mod fanout;
 
 use std::collections::VecDeque;
@@ -86,40 +76,8 @@ impl Schedule {
     }
 }
 
-/// Which trace-replay kernel a stored trace is driven through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplayKernel {
-    /// The per-event LEB128 decoder feeding each sink independently —
-    /// the bit-identity oracle and the default.
-    #[default]
-    Scalar,
-    /// The SWAR batch decoder feeding the grid-vectorized `GridCache`
-    /// kernel: one decode pass per trace drives every direct-mapped
-    /// configuration at once.
-    Batch,
-}
-
-impl ReplayKernel {
-    /// Short name used in reports and CLI flags.
-    pub fn name(self) -> &'static str {
-        match self {
-            ReplayKernel::Scalar => "scalar",
-            ReplayKernel::Batch => "batch",
-        }
-    }
-
-    /// Parse a CLI spelling (`scalar`, `batch`).
-    pub fn parse(s: &str) -> Option<ReplayKernel> {
-        match s {
-            "scalar" => Some(ReplayKernel::Scalar),
-            "batch" => Some(ReplayKernel::Batch),
-            _ => None,
-        }
-    }
-}
-
 /// Configuration of the packet-scheduled experiment engine: worker count,
-/// chunk granularity, bucket policy, and affinity.
+/// chunk granularity, and bucket policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Worker threads. `1` with [`Schedule::RoundRobin`] is the sequential
@@ -129,11 +87,6 @@ pub struct EngineConfig {
     pub chunk_events: usize,
     /// Worker scheduling strategy.
     pub schedule: Schedule,
-    /// Pin crew workers to CPU cores (best-effort; no-op where the
-    /// platform refuses).
-    pub affinity: bool,
-    /// Which decode/simulate kernel replays stored traces.
-    pub replay_kernel: ReplayKernel,
 }
 
 impl Default for EngineConfig {
@@ -142,8 +95,6 @@ impl Default for EngineConfig {
             jobs: 1,
             chunk_events: DEFAULT_CHUNK_EVENTS,
             schedule: Schedule::RoundRobin,
-            affinity: false,
-            replay_kernel: ReplayKernel::Scalar,
         }
     }
 }
@@ -166,18 +117,6 @@ impl EngineConfig {
     /// Same configuration with a different schedule.
     pub fn with_schedule(mut self, schedule: Schedule) -> Self {
         self.schedule = schedule;
-        self
-    }
-
-    /// Same configuration with affinity pinning toggled.
-    pub fn with_affinity(mut self, affinity: bool) -> Self {
-        self.affinity = affinity;
-        self
-    }
-
-    /// Same configuration with a different replay kernel.
-    pub fn with_replay_kernel(mut self, kernel: ReplayKernel) -> Self {
-        self.replay_kernel = kernel;
         self
     }
 
@@ -248,7 +187,7 @@ pub enum PacketKind {
     /// Diffing one produced table against its golden counterpart.
     GoldenDiff,
     /// One batched decode pass driving a shard of the configuration grid
-    /// (`GridCache` lanes under the batch replay kernel).
+    /// (`GridCache` lanes).
     GridSimulate,
 }
 
@@ -267,19 +206,15 @@ impl PacketKind {
     }
 }
 
-/// End-of-crew accounting: per-worker packet statistics plus affinity
-/// outcomes. Drivers fold this into the telemetry counters and the
-/// engine block of the run manifest.
+/// End-of-crew accounting: per-worker packet statistics. Drivers fold
+/// this into the telemetry counters and the engine block of the run
+/// manifest.
 #[derive(Debug, Clone, Default)]
 pub struct CrewReport {
     /// Per-worker events/chunks/steals/idle, indexed by worker.
     pub workers: Vec<WorkerStats>,
     /// Packets executed by the crew in total.
     pub packets: u64,
-    /// Workers successfully pinned to a core.
-    pub pinned: usize,
-    /// Workers whose pin attempt degraded to an unpinned no-op.
-    pub affinity_fallbacks: usize,
 }
 
 /// A boxed work packet: the typed kind plus the closure that performs it.
@@ -304,8 +239,6 @@ struct Queues<'env> {
     packets_done: u64,
     /// Per-worker accounting, merged after each packet.
     workers: Vec<WorkerStats>,
-    pinned: usize,
-    affinity_fallbacks: usize,
 }
 
 /// A scoped worker pool executing packets for one operation. Created by
@@ -325,8 +258,6 @@ impl<'env> Crew<'env> {
                 closed: false,
                 packets_done: 0,
                 workers: vec![WorkerStats::default(); jobs],
-                pinned: 0,
-                affinity_fallbacks: 0,
             }),
             work: Condvar::new(),
         }
@@ -411,14 +342,6 @@ impl<'env> Crew<'env> {
             .telemetry
             .as_ref()
             .map(|t| t.attach_named(&format!("worker-{i}")));
-        if sched.affinity {
-            let outcome = affinity::pin_current_thread(i, &sched.affinity_cmd);
-            let mut q = self.q.lock().expect("crew queue poisoned");
-            match outcome {
-                Ok(()) => q.pinned += 1,
-                Err(_) => q.affinity_fallbacks += 1,
-            }
-        }
         let mut q = self.q.lock().expect("crew queue poisoned");
         loop {
             if let Some((packet, stolen)) = Self::take(&mut q, i) {
@@ -460,61 +383,23 @@ impl<'env> Crew<'env> {
         CrewReport {
             workers: q.workers.clone(),
             packets: q.packets_done,
-            pinned: q.pinned,
-            affinity_fallbacks: q.affinity_fallbacks,
         }
     }
 }
 
-/// The scheduler handle: policy (affinity and how to achieve it), no
-/// threads. Cloning is cheap; every operation materializes its own scoped
-/// crew via [`Scheduler::run`].
-#[derive(Debug, Clone)]
+/// The scheduler handle: owns no threads, only the telemetry registry
+/// crew workers report into.
+/// Cloning is cheap; every operation materializes its own scoped crew via
+/// [`Scheduler::run`].
+#[derive(Debug, Clone, Default)]
 pub struct Scheduler {
-    affinity: bool,
-    /// External pinning utility, injectable so tests can force the
-    /// degraded path with a command that cannot exist.
-    affinity_cmd: std::sync::Arc<str>,
     /// When present, crew workers attach per-worker shards so counters,
     /// phases, and (if enabled) trace spans are attributed to
     /// `worker-{i}` timeline rows instead of vanishing unattached.
     telemetry: Option<Arc<Telemetry>>,
 }
 
-impl Default for Scheduler {
-    fn default() -> Self {
-        Scheduler::new(false)
-    }
-}
-
 impl Scheduler {
-    /// A scheduler with affinity pinning on or off.
-    pub fn new(affinity: bool) -> Scheduler {
-        Scheduler {
-            affinity,
-            affinity_cmd: std::sync::Arc::from("taskset"),
-            telemetry: None,
-        }
-    }
-
-    /// Same scheduler with affinity toggled.
-    pub fn with_affinity(mut self, affinity: bool) -> Scheduler {
-        self.affinity = affinity;
-        self
-    }
-
-    /// Same scheduler using `cmd` as the pinning utility (test hook: a
-    /// nonexistent command exercises the graceful-fallback path).
-    pub fn with_affinity_command(mut self, cmd: &str) -> Scheduler {
-        self.affinity_cmd = std::sync::Arc::from(cmd);
-        self
-    }
-
-    /// True if crews spun from this scheduler will attempt pinning.
-    pub fn affinity(&self) -> bool {
-        self.affinity
-    }
-
     /// Same scheduler with crew workers attached to `telemetry`. Each
     /// worker holds a `worker-{i}` shard for the crew's lifetime, so
     /// packet/idle/steal spans land on stable per-worker timeline rows.
@@ -553,7 +438,7 @@ mod tests {
 
     #[test]
     fn every_packet_runs_and_is_counted() {
-        let sched = Scheduler::new(false);
+        let sched = Scheduler::default();
         let hits = AtomicUsize::new(0);
         let ((), report) = sched.run(3, |crew| {
             for i in 0..64 {
@@ -567,8 +452,6 @@ mod tests {
         assert_eq!(hits.load(Ordering::Relaxed), 64);
         assert_eq!(report.packets, 64);
         assert_eq!(report.workers.len(), 3);
-        assert_eq!(report.pinned, 0);
-        assert_eq!(report.affinity_fallbacks, 0);
     }
 
     #[test]
@@ -576,7 +459,7 @@ mod tests {
         // One worker, packets submitted while it is blocked on a gate
         // packet: the finalize packet must run after prepare/execute even
         // though it was submitted first.
-        let sched = Scheduler::new(false);
+        let sched = Scheduler::default();
         let order = Mutex::new(Vec::new());
         let ((), _) = sched.run(1, |crew| {
             let gate = std::sync::Arc::new((Mutex::new(false), Condvar::new()));
@@ -614,7 +497,7 @@ mod tests {
     fn idle_workers_steal_from_loaded_deques() {
         // All packets pinned to worker 0's deque; with 4 workers the
         // others must steal to finish, and steals must be recorded.
-        let sched = Scheduler::new(false);
+        let sched = Scheduler::default();
         let ((), report) = sched.run(4, |crew| {
             for _ in 0..128 {
                 crew.submit(Stage::Simulate, PacketKind::SinkDrain, Some(0), move |_| {
@@ -632,25 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn affinity_with_a_missing_utility_degrades_to_a_noop() {
-        let sched = Scheduler::new(true).with_affinity_command("cachegc-no-such-pinner");
-        let hits = AtomicUsize::new(0);
-        let ((), report) = sched.run(2, |crew| {
-            for _ in 0..8 {
-                let hits = &hits;
-                crew.submit(Stage::Execute, PacketKind::Task, None, move |_| {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            crew.wait_idle();
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 8, "work still ran");
-        assert_eq!(report.pinned + report.affinity_fallbacks, 2);
-        assert_eq!(report.pinned, 0, "bogus utility cannot pin");
-        assert_eq!(report.affinity_fallbacks, 2);
-    }
-
-    #[test]
     fn schedule_and_engine_config_round_trip() {
         assert_eq!(Schedule::parse("rr"), Some(Schedule::RoundRobin));
         assert_eq!(Schedule::parse("ws"), Some(Schedule::WorkStealing));
@@ -659,28 +523,20 @@ mod tests {
         assert_eq!(Schedule::WorkStealing.name(), "work-stealing");
         let e = EngineConfig::jobs(4)
             .with_schedule(Schedule::WorkStealing)
-            .with_chunk(64)
-            .with_affinity(true);
+            .with_chunk(64);
         assert!(!e.is_sequential());
-        assert!(e.affinity);
         assert_eq!(e.chunk_events, 64);
         assert!(EngineConfig::default().is_sequential());
         assert!(!EngineConfig::jobs(1)
             .with_schedule(Schedule::WorkStealing)
             .is_sequential());
-        assert_eq!(ReplayKernel::parse("batch"), Some(ReplayKernel::Batch));
-        assert_eq!(ReplayKernel::parse("scalar"), Some(ReplayKernel::Scalar));
-        assert_eq!(ReplayKernel::parse("swar"), None);
-        assert_eq!(ReplayKernel::default().name(), "scalar");
-        let e = EngineConfig::jobs(2).with_replay_kernel(ReplayKernel::Batch);
-        assert_eq!(e.replay_kernel, ReplayKernel::Batch);
     }
 
     #[cfg(not(cachegc_probes_off))]
     #[test]
     fn crews_record_packet_spans_on_worker_rows() {
         let tele = Arc::new(Telemetry::with_spans());
-        let sched = Scheduler::new(false).with_telemetry(Arc::clone(&tele));
+        let sched = Scheduler::default().with_telemetry(Arc::clone(&tele));
         let ((), report) = sched.run(2, |crew| {
             for i in 0..8 {
                 crew.submit(Stage::Execute, PacketKind::Task, Some(i), move |_| {

@@ -8,7 +8,7 @@
 //! re-exports the primitives, so `cachegc_core::telemetry::Telemetry` is
 //! the one path experiment code needs, and adds:
 //!
-//! * [`Manifest`] — a versioned (`cachegc-manifest-v5`), machine-readable
+//! * [`Manifest`] — a versioned (`cachegc-manifest-v6`), machine-readable
 //!   record of one experiment run: configuration, merged counters, phase
 //!   timings with pause histograms, engine/worker totals, and trace-store
 //!   accounting. Serialized by [`Manifest::to_json`] (hand-rolled, like
@@ -40,8 +40,10 @@ use crate::store::{ScenarioGauges, StoreStats, TraceStore};
 /// The manifest schema identifier this crate writes and validates.
 ///
 /// v5 added the timeline/span counters (`timeline_windows`,
-/// `timeline_collections`, `trace_spans`, `trace_spans_dropped`).
-pub const MANIFEST_SCHEMA: &str = "cachegc-manifest-v5";
+/// `timeline_collections`, `trace_spans`, `trace_spans_dropped`); v6
+/// dropped the two CPU-pinning counters and the batch decoder's
+/// fallback-event counter, whose code paths are gone.
+pub const MANIFEST_SCHEMA: &str = "cachegc-manifest-v6";
 
 // ---------------------------------------------------------------------
 // Progress
@@ -819,7 +821,7 @@ mod tests {
         let m = Manifest::gather(sample_config(), &telemetry.snapshot(), None);
         let json = m.to_json();
         validate_manifest(&json).unwrap();
-        assert!(json.contains("\"schema\": \"cachegc-manifest-v5\""));
+        assert!(json.contains("\"schema\": \"cachegc-manifest-v6\""));
         assert!(json.contains("\"jobs_requested\": 2"));
         assert!(json.contains("\"store\": null"));
     }
@@ -890,9 +892,11 @@ mod tests {
         // A collection counter with no matching pause phase.
         let err = validate_manifest(&good).unwrap_err();
         assert!(err.contains("gc_minor"), "{err}");
-        // Wrong schema.
-        let bad = good.replace("cachegc-manifest-v5", "cachegc-manifest-v0");
-        assert!(validate_manifest(&bad).unwrap_err().contains("schema"));
+        // Wrong schema, including the previous version.
+        for old in ["cachegc-manifest-v0", "cachegc-manifest-v5"] {
+            let bad = good.replace(MANIFEST_SCHEMA, old);
+            assert!(validate_manifest(&bad).unwrap_err().contains("schema"));
+        }
         // Not JSON at all.
         assert!(validate_manifest("{nope").is_err());
         // A negative counter.

@@ -83,17 +83,10 @@ pub enum Counter {
     StoreCoalesced,
     /// Work packets executed by the packet scheduler's crews.
     SchedPackets,
-    /// Worker threads successfully pinned to a CPU core.
-    AffinityPinned,
-    /// Affinity pin attempts that degraded to an unpinned no-op.
-    AffinityFallbacks,
     /// `--jobs` requests clamped down to the machine's available parallelism.
     JobsClamped,
-    /// Event batches produced by the SWAR batch trace decoder.
+    /// Event batches the batch trace decoder handed to grid kernels.
     ReplayBatches,
-    /// Events the batch decoder fell back to the scalar path for (token
-    /// with a flags change, multi-byte tail, or an unclassifiable window).
-    ReplayScalarEvents,
     /// `(configuration, event)` cell updates performed by the grid
     /// simulation kernel.
     GridCellsSimulated,
@@ -111,7 +104,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in manifest order.
-    pub const ALL: [Counter; 29] = [
+    pub const ALL: [Counter; 26] = [
         Counter::VmRuns,
         Counter::VmAllocs,
         Counter::VmGcTriggers,
@@ -130,11 +123,8 @@ impl Counter {
         Counter::StoreSpillLoads,
         Counter::StoreCoalesced,
         Counter::SchedPackets,
-        Counter::AffinityPinned,
-        Counter::AffinityFallbacks,
         Counter::JobsClamped,
         Counter::ReplayBatches,
-        Counter::ReplayScalarEvents,
         Counter::GridCellsSimulated,
         Counter::TimelineWindows,
         Counter::TimelineCollections,
@@ -164,11 +154,8 @@ impl Counter {
             Counter::StoreSpillLoads => "store_spill_loads",
             Counter::StoreCoalesced => "store_coalesced",
             Counter::SchedPackets => "sched_packets",
-            Counter::AffinityPinned => "affinity_pinned",
-            Counter::AffinityFallbacks => "affinity_fallbacks",
             Counter::JobsClamped => "jobs_clamped",
             Counter::ReplayBatches => "replay_batches",
-            Counter::ReplayScalarEvents => "replay_scalar_events",
             Counter::GridCellsSimulated => "grid_cells_simulated",
             Counter::TimelineWindows => "timeline_windows",
             Counter::TimelineCollections => "timeline_collections",

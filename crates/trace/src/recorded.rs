@@ -114,10 +114,10 @@ fn unzigzag32(z: u32) -> i32 {
     ((z >> 1) as i32) ^ -((z & 1) as i32)
 }
 
-/// Decode one event the byte-at-a-time way: the scalar fallback of the
-/// batch decoder, and byte-for-byte the loop [`RecordedTrace::replay`]
-/// runs. Advances `i` past the token (and flags byte, when present) and
-/// leaves `(addr, flags)` describing the decoded event.
+/// Decode one event: the loop body shared by [`RecordedTrace::replay`]
+/// and [`RecordedTrace::replay_batched`]. Advances `i` past the token
+/// (and flags byte, when present) and leaves `(addr, flags)` describing
+/// the decoded event.
 #[inline]
 fn decode_one(bytes: &[u8], i: &mut usize, addr: &mut u32, flags: &mut u8) {
     let mut token: u64 = 0;
@@ -196,28 +196,6 @@ impl EventBatch {
     /// The batch's valid events, in stream order.
     pub fn accesses(&self) -> impl Iterator<Item = Access> + '_ {
         (0..self.len).map(move |i| access_from(self.addrs[i], self.flags[i]))
-    }
-}
-
-/// What [`RecordedTrace::replay_batched`] did: how many batches reached
-/// the consumer and how the events split between the SWAR fast paths and
-/// the scalar fallback. `swar_events + scalar_events` always equals the
-/// trace's event count.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct BatchDecodeStats {
-    /// Batches handed to the consumer.
-    pub batches: u64,
-    /// Events decoded by the 8×1-byte and 4×2-byte SWAR word paths.
-    pub swar_events: u64,
-    /// Events decoded by the scalar fallback: long tokens, flag-changing
-    /// tokens, and segment tails shorter than one 8-byte word.
-    pub scalar_events: u64,
-}
-
-impl BatchDecodeStats {
-    /// Total events decoded.
-    pub fn events(&self) -> u64 {
-        self.swar_events + self.scalar_events
     }
 }
 
@@ -568,110 +546,34 @@ impl RecordedTrace {
     }
 
     /// Decode the stream into [`EventBatch`] slices — the same events, in
-    /// the same order, as [`RecordedTrace::replay`], but amortizing decode
-    /// control flow over whole batches so one decode pass can drive many
-    /// simulated configurations.
-    ///
-    /// The decoder is SWAR (SIMD-within-a-register): at each token
-    /// boundary it loads the next 8 payload bytes as one little-endian
-    /// `u64` and classifies continuation and flags-changed bits with byte
-    /// masks. Two word shapes decode without any per-byte branching:
-    ///
-    /// * **8×1-byte**: no continuation bits, no flags-changed bits — eight
-    ///   single-byte tokens whose zigzag deltas prefix-sum into eight
-    ///   addresses under the current flags.
-    /// * **4×2-byte**: continuation bits exactly on bytes 0/2/4/6 and no
-    ///   flags-changed bits — four two-byte tokens whose 14-bit values are
-    ///   extracted with shift-and-mask lane arithmetic.
-    ///
-    /// Any other shape (a token of 3+ bytes, a flags change, or a segment
-    /// tail shorter than a word) falls back to the scalar loop for exactly
-    /// one token and re-classifies. A flags byte can look like a terminal
-    /// one-byte token (its high bits are always zero), so the fast paths
-    /// demand *no* flags-changed bits in the word: every byte they touch
-    /// is then provably a token start.
-    ///
-    /// Decoder state `(prev_addr, flags)` carries across segment
-    /// boundaries exactly as in [`RecordedTrace::replay`] — tokens never
-    /// straddle segments (the recorder seals at event boundaries), so
-    /// per-segment decoding with carried state is bit-identical to
-    /// decoding the concatenated payload.
-    pub fn replay_batched<F: FnMut(&EventBatch)>(&self, mut consume: F) -> BatchDecodeStats {
-        // Byte masks over the 8-byte window: continuation bits (bit 7 of
-        // every byte), flags-changed bits (bit 0 of every byte), and the
-        // 4×2-byte shape (continuation on bytes 0/2/4/6 only, with the
-        // changed bit of each token — bit 0 of its first byte — clear).
-        const CONT: u64 = 0x8080_8080_8080_8080;
-        const CHANGED: u64 = 0x0101_0101_0101_0101;
-        const CONT_2B: u64 = 0x0080_0080_0080_0080;
-        const CHANGED_2B: u64 = 0x0001_0001_0001_0001;
-        const LO7_2B: u64 = 0x007f_007f_007f_007f;
-        let mut stats = BatchDecodeStats::default();
+    /// the same order and through the same scalar decode loop, as
+    /// [`RecordedTrace::replay`], handed over [`EVENT_BATCH`] at a time so
+    /// one decode pass can drive many simulated configurations. Decoder
+    /// state `(prev_addr, flags)` carries across segment boundaries and
+    /// batches fill across them, so batch edges never depend on segment
+    /// size. Returns the number of batches handed to `consume`.
+    pub fn replay_batched<F: FnMut(&EventBatch)>(&self, mut consume: F) -> u64 {
+        let mut batches = 0;
         let mut batch = EventBatch::empty();
-        let mut flush = |batch: &mut EventBatch, batches: &mut u64| {
-            if batch.len > 0 {
-                *batches += 1;
-                consume(batch);
-                batch.len = 0;
-            }
-        };
         let mut addr: u32 = 0;
         let mut flags: u8 = 0;
         for bytes in self.payload_chunks() {
             let mut i = 0;
-            while i + 8 <= bytes.len() {
-                let word = u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8-byte window"));
-                if word & (CONT | CHANGED) == 0 {
-                    // Eight 1-byte tokens, no flag changes.
-                    if batch.len + 8 > EVENT_BATCH {
-                        flush(&mut batch, &mut stats.batches);
-                    }
-                    for lane in 0..8 {
-                        let z = u32::from((word >> (8 * lane)) as u8) >> 1;
-                        addr = addr.wrapping_add(unzigzag32(z) as u32);
-                        batch.push(addr, flags);
-                    }
-                    stats.swar_events += 8;
-                    i += 8;
-                } else if word & CONT == CONT_2B && word & CHANGED_2B == 0 {
-                    // Four 2-byte tokens, no flag changes: each 16-bit
-                    // lane holds `lo7 | hi7 << 7`.
-                    if batch.len + 4 > EVENT_BATCH {
-                        flush(&mut batch, &mut stats.batches);
-                    }
-                    let lo = word & LO7_2B;
-                    let hi = (word >> 8) & LO7_2B;
-                    let lanes = lo | (hi << 7);
-                    for lane in 0..4 {
-                        let z = ((lanes >> (16 * lane)) & 0xffff) as u32 >> 1;
-                        addr = addr.wrapping_add(unzigzag32(z) as u32);
-                        batch.push(addr, flags);
-                    }
-                    stats.swar_events += 4;
-                    i += 8;
-                } else {
-                    // A long token or a flags change: one scalar event,
-                    // then re-classify from the new boundary.
-                    if batch.len == EVENT_BATCH {
-                        flush(&mut batch, &mut stats.batches);
-                    }
-                    decode_one(bytes, &mut i, &mut addr, &mut flags);
-                    batch.push(addr, flags);
-                    stats.scalar_events += 1;
-                }
-            }
-            // Segment tail shorter than one SWAR word.
             while i < bytes.len() {
-                if batch.len == EVENT_BATCH {
-                    flush(&mut batch, &mut stats.batches);
-                }
                 decode_one(bytes, &mut i, &mut addr, &mut flags);
                 batch.push(addr, flags);
-                stats.scalar_events += 1;
+                if batch.len == EVENT_BATCH {
+                    consume(&batch);
+                    batch.len = 0;
+                    batches += 1;
+                }
             }
         }
-        flush(&mut batch, &mut stats.batches);
-        stats
+        if batch.len > 0 {
+            consume(&batch);
+            batches += 1;
+        }
+        batches
     }
 
     /// Replay into many sinks at once on up to `jobs` threads, each worker
@@ -949,18 +851,16 @@ mod tests {
         mapped.replay(&mut out);
         assert_eq!(out.0, events, "image replay is event-for-event identical");
         // The image flattens the 32-byte segments into one contiguous
-        // window, so the batch decoder's SWAR words now span the former
-        // seal points — and must still decode the identical stream.
+        // window; the batch decoder must still yield the identical stream.
         let mut batched = Vec::new();
-        let stats = mapped.replay_batched(|b| batched.extend(b.accesses()));
+        mapped.replay_batched(|b| batched.extend(b.accesses()));
         assert_eq!(batched, events, "image batched replay identical");
-        assert_eq!(stats.events(), mapped.events());
     }
 
     /// Record `events` at `segment_bytes`, then demand the batched decode
-    /// yields exactly the scalar replay's stream, batch boundaries and
-    /// decode-stat accounting included.
-    fn assert_batched_matches_scalar(events: &[Access], segment_bytes: usize) -> BatchDecodeStats {
+    /// yields exactly the scalar replay's stream in full batches (only the
+    /// last may be short).
+    fn assert_batched_matches_scalar(events: &[Access], segment_bytes: usize) {
         let mut rec = Recorder::new().with_segment_bytes(segment_bytes);
         for &a in events {
             rec.access(a);
@@ -969,7 +869,11 @@ mod tests {
         let mut scalar = VecSink::default();
         trace.replay(&mut scalar);
         let mut batched = Vec::new();
-        let stats = trace.replay_batched(|b| {
+        let batches = trace.replay_batched(|b| {
+            assert!(
+                batched.len() % EVENT_BATCH == 0,
+                "only the last batch is short"
+            );
             assert!(!b.is_empty() && b.len() <= EVENT_BATCH);
             batched.extend(b.accesses());
         });
@@ -978,8 +882,7 @@ mod tests {
             "batched decode diverged at segment size {segment_bytes}"
         );
         assert_eq!(scalar.0, events, "scalar oracle round-trips");
-        assert_eq!(stats.events(), events.len() as u64, "every event accounted");
-        stats
+        assert_eq!(batches, events.len().div_ceil(EVENT_BATCH) as u64);
     }
 
     /// SplitMix64, inlined: the trace crate cannot depend on the root
@@ -1030,56 +933,10 @@ mod tests {
     }
 
     #[test]
-    fn monotone_run_decodes_on_the_one_byte_swar_path() {
-        let events: Vec<Access> = (0..10_000)
-            .map(|i| Access::read(0x1000_0000 + 4 * i, Context::Mutator))
-            .collect();
-        let stats = assert_batched_matches_scalar(&events, DEFAULT_SEGMENT_BYTES);
-        assert!(
-            stats.swar_events > 9_900,
-            "a monotone word walk is 1-byte tokens: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn strided_run_decodes_on_the_two_byte_swar_path() {
-        // A 256-byte stride zigzags to a two-byte token; the whole stream
-        // should ride the 4-wide lane path.
-        let events: Vec<Access> = (1..=4_000u32)
-            .map(|i| Access::read(256 * i, Context::Mutator))
-            .collect();
-        let stats = assert_batched_matches_scalar(&events, DEFAULT_SEGMENT_BYTES);
-        assert!(
-            stats.swar_events > 3_900,
-            "a 256-byte stride is 2-byte tokens: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn dense_flag_flips_fall_back_to_the_scalar_path() {
-        // Every event changes flags, so every token carries the changed
-        // bit and a flags byte — no SWAR word shape may claim it (a flags
-        // byte is indistinguishable from a terminal token byte by
-        // continuation bits alone).
-        let events: Vec<Access> = (0..300u32)
-            .map(|i| {
-                if i % 2 == 0 {
-                    Access::read(4 * i, Context::Mutator)
-                } else {
-                    Access::write(4 * i, Context::Collector)
-                }
-            })
-            .collect();
-        let stats = assert_batched_matches_scalar(&events, DEFAULT_SEGMENT_BYTES);
-        assert_eq!(stats.swar_events, 0, "{stats:?}");
-        assert_eq!(stats.scalar_events, 300);
-    }
-
-    #[test]
     fn batched_state_carries_across_tiny_segments() {
-        // 16-byte segments: every segment tail is shorter than one SWAR
-        // word, so the decoder constantly re-enters the scalar tail with
-        // carried (prev_addr, flags) state.
+        // 16-byte segments: a batch spans many seals, so the decoder
+        // constantly crosses a segment boundary mid-batch with carried
+        // (prev_addr, flags) state.
         let mut events = Vec::new();
         for i in 0..800u32 {
             let ctx = if i % 7 == 0 {
@@ -1089,8 +946,7 @@ mod tests {
             };
             events.push(Access::write(i.wrapping_mul(0x9e37_79b9), ctx));
         }
-        let stats = assert_batched_matches_scalar(&events, 16);
-        assert!(stats.batches >= 800 / EVENT_BATCH as u64);
+        assert_batched_matches_scalar(&events, 16);
     }
 
     #[test]

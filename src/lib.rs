@@ -21,11 +21,11 @@
 //! ## Quickstart
 //!
 //! ```
-//! use cachegc::core::{ExperimentConfig, run_control};
+//! use cachegc::core::{ExperimentConfig, Runner};
 //! use cachegc::workloads::Workload;
 //!
 //! # fn main() -> Result<(), cachegc::vm::VmError> {
-//! let report = run_control(
+//! let report = Runner::sequential().control(
 //!     Workload::Rewrite.scaled(1),
 //!     &ExperimentConfig::quick(),
 //! )?;

@@ -321,40 +321,6 @@ fn packet_fanout_chunk_boundary_edges() {
     }
 }
 
-#[test]
-fn affinity_pinning_failure_degrades_to_a_plain_run() {
-    // Affinity is best-effort: a pinner binary that does not exist (the
-    // shape of a one-core container without `taskset`) must leave every
-    // result bit-identical to the unpinned run.
-    check("affinity_degrades_to_noop", 12, |rng| {
-        let n = rng.range_usize(1, 2000);
-        let accesses: Vec<Access> = (0..n as u32)
-            .map(|i| {
-                let addr = DYNAMIC_BASE + rng.range_u32(0, 1 << 15) * 4;
-                if i % 3 == 0 {
-                    Access::write(addr, Context::Mutator)
-                } else {
-                    Access::read(addr, Context::Collector)
-                }
-            })
-            .collect();
-        let mut seq = Fanout::new(small_grid());
-        for &a in &accesses {
-            seq.access(a);
-        }
-        let engine = EngineConfig::jobs(2)
-            .with_schedule(Schedule::WorkStealing)
-            .with_affinity(true);
-        let runner = Runner::new(engine).with_affinity_command("cachegc-no-such-pinner");
-        let ((), par) = runner.drive(PacketKind::SinkDrain, small_grid(), |fan| {
-            for &a in &accesses {
-                fan.access(a);
-            }
-        });
-        assert_cells_identical(seq.into_sinks(), par);
-    });
-}
-
 // ---------------------------------------------------------------------
 // Heterogeneous instrument sets under both schedules
 // ---------------------------------------------------------------------
