@@ -60,7 +60,7 @@ fn main() {
             .expect("workload runs");
         let live_wall = start.elapsed();
         let (recorder, live_counter) = out.sink;
-        let trace = recorder.finish().expect("unbounded recorder");
+        let trace = recorder.finish();
         let events = trace.events();
         assert_eq!(events, live_counter.total(), "recorder saw every event");
         let live_eps = events as f64 / live_wall.as_secs_f64().max(1e-9);

@@ -67,7 +67,7 @@ usage: golden_check [--bless] [--only NAME] [--dir PATH] [--rel-eps X]
                 events, named thread rows, and at least one complete
                 span; exits 0 valid, 1 invalid
 
-The sweeps always run at --scale 1 --jobs 2 --schedule ws: goldens are
+The sweeps always run at --scale 1 --jobs 2: goldens are
 defined at that configuration, and the parallel engine is bit-identical
 to the sequential one, so results do not depend on the machine. Replay
 from the trace cache is bit-identical to the live VM, so --trace-cache
@@ -345,7 +345,7 @@ fn main() -> ExitCode {
                 scale: GOLDEN_SCALE,
                 jobs: golden_engine().jobs,
                 jobs_requested: golden_engine().jobs,
-                schedule: golden_engine().schedule.name().to_string(),
+                schedule: "record-replay".to_string(),
                 trace_cache: opts.trace_cache.describe(),
             },
             &telemetry.snapshot(),

@@ -10,7 +10,7 @@
 use std::path::{Path, PathBuf};
 
 use cachegc_core::report::{csv_table_path, Table};
-use cachegc_core::{EngineConfig, Schedule, TimelineSpec, TraceStore};
+use cachegc_core::{EngineConfig, TimelineSpec, TraceStore};
 
 /// Byte budget the plain `--trace-cache on` spelling buys (4 GiB — the
 /// whole golden-scale scenario set encodes to ~1 GiB at the measured
@@ -365,8 +365,6 @@ pub struct ExperimentArgs {
     /// before clamping. The driver warns (and counts) when this exceeds
     /// `jobs`; both land in the run manifest.
     pub jobs_requested: usize,
-    /// Engine schedule (`--schedule rr|ws`).
-    pub schedule: Schedule,
     /// CSV output path (`--csv PATH`), if requested.
     pub csv: Option<PathBuf>,
     /// Trace record/replay cache (`--trace-cache
@@ -379,7 +377,7 @@ pub struct ExperimentArgs {
     /// Windowed cache/GC timeline export (`--timeline
     /// off|jsonl[:PATH][,window=N]`, env `CACHEGC_TIMELINE`; default off).
     pub timeline: TimelineArg,
-    /// Scheduler trace export (`--trace-export off|chrome[:PATH]`, env
+    /// Packet-scheduler trace export (`--trace-export off|chrome[:PATH]`, env
     /// `CACHEGC_TRACE_EXPORT`; default off).
     pub trace_export: TraceExportArg,
     /// Report sweep progress on stderr (`--progress`).
@@ -434,7 +432,6 @@ impl ExperimentArgs {
     ) -> Result<Parse, String> {
         let mut scale: Option<u32> = None;
         let mut jobs: Option<usize> = None;
-        let mut schedule = Schedule::default();
         let mut csv: Option<PathBuf> = None;
         let mut trace_cache: Option<TraceCacheArg> = None;
         let mut metrics: Option<MetricsArg> = None;
@@ -447,11 +444,6 @@ impl ExperimentArgs {
                 "--help" | "-h" => return Ok(Parse::Help),
                 "--scale" => scale = Some(value(flag, it.next())?),
                 "--jobs" => jobs = Some(value(flag, it.next())?),
-                "--schedule" => {
-                    let raw = it.next().ok_or("--schedule needs a value")?;
-                    schedule = Schedule::parse(raw)
-                        .ok_or_else(|| format!("unknown schedule '{raw}' (rr or ws)"))?;
-                }
                 "--csv" => {
                     let raw = it.next().ok_or("--csv needs a path")?;
                     csv = Some(PathBuf::from(raw));
@@ -533,7 +525,6 @@ impl ExperimentArgs {
             scale,
             jobs,
             jobs_requested,
-            schedule,
             csv,
             trace_cache,
             metrics,
@@ -545,7 +536,7 @@ impl ExperimentArgs {
 
     /// The engine configuration these arguments describe.
     pub fn engine(&self) -> EngineConfig {
-        EngineConfig::jobs(self.jobs).with_schedule(self.schedule)
+        EngineConfig::jobs(self.jobs)
     }
 
     /// True when the jobs request was clamped to the machine.
@@ -600,7 +591,7 @@ fn usage(binary: &str, about: &str, default_scale: u32) -> String {
     format!(
         "{binary} — {about}\n\
          \n\
-         usage: {binary} [--scale N] [--jobs N] [--schedule rr|ws] [--csv PATH]\n\
+         usage: {binary} [--scale N] [--jobs N] [--csv PATH]\n\
          \x20                [--trace-cache on|off|BYTES[,spill[:DIR]][,evict=on|off]]\n\
          \x20                [--metrics off|table|json[:PATH]]\n\
          \x20                [--timeline off|jsonl[:PATH][,window=N]]\n\
@@ -610,7 +601,6 @@ fn usage(binary: &str, about: &str, default_scale: u32) -> String {
          \x20 --jobs N       worker threads (default: available parallelism; env\n\
          \x20                CACHEGC_JOBS; 1 is the sequential oracle; clamped to\n\
          \x20                the machine's core count with a warning)\n\
-         \x20 --schedule S   engine schedule: round-robin (rr) or work-stealing (ws)\n\
          \x20 --csv PATH     also write results as CSV to PATH\n\
          \x20 --trace-cache  record each unique scenario's trace and replay it for\n\
          \x20                later passes: on (default, 4 GiB budget), off, or an\n\
@@ -631,7 +621,7 @@ fn usage(binary: &str, about: &str, default_scale: u32) -> String {
          \x20                a summary table on stderr; results stay bit-identical\n\
          \x20                (env CACHEGC_TIMELINE)\n\
          \x20 --trace-export E  capture timestamped scheduler spans (packets,\n\
-         \x20                steals, idle, backpressure, GC and store phases) and\n\
+         \x20                steals, idle, GC and store phases) and\n\
          \x20                export Chrome trace-event JSON loadable in Perfetto,\n\
          \x20                default results/trace/{binary}.json; works with\n\
          \x20                --metrics off (env CACHEGC_TRACE_EXPORT)\n\
@@ -673,21 +663,11 @@ mod tests {
 
     #[test]
     fn flags_parse() {
-        let a = parsed(&[
-            "--scale",
-            "2",
-            "--jobs",
-            "3",
-            "--schedule",
-            "ws",
-            "--csv",
-            "results/x.csv",
-        ]);
+        let a = parsed(&["--scale", "2", "--jobs", "3", "--csv", "results/x.csv"]);
         assert_eq!(a.scale, 2);
         assert_eq!(a.jobs, 3);
         assert_eq!(a.jobs_requested, 3);
         assert!(!a.jobs_clamped());
-        assert_eq!(a.schedule, Schedule::WorkStealing);
         assert_eq!(a.csv.as_deref(), Some(Path::new("results/x.csv")));
         assert_eq!(a.engine().jobs, 3);
         assert!(!a.engine().is_sequential());
@@ -726,7 +706,6 @@ mod tests {
         let a = parsed(&[]);
         assert_eq!(a.scale, 4);
         assert!(a.jobs >= 1);
-        assert_eq!(a.schedule, Schedule::RoundRobin);
         assert!(a.csv.is_none());
     }
 
@@ -1045,7 +1024,7 @@ mod tests {
             vec!["--scale"],
             vec!["--scale", "many"],
             vec!["--jobs", "-2"],
-            vec!["--schedule", "fifo"],
+            vec!["--schedule", "ws"],
             vec!["--csv"],
             vec!["--trace-cache"],
             vec!["--trace-cache", "sometimes"],
@@ -1069,7 +1048,6 @@ mod tests {
         for flag in [
             "--scale",
             "--jobs",
-            "--schedule",
             "--csv",
             "--trace-cache",
             "--metrics",
@@ -1080,6 +1058,7 @@ mod tests {
         ] {
             assert!(u.contains(flag), "{flag} missing from usage");
         }
+        assert!(!u.contains("--schedule"), "the schedule flag is gone");
         assert!(u.starts_with("e4_write_policy — "));
     }
 

@@ -16,8 +16,8 @@
 //! version also allocates 48 KB per generation, which write-validate
 //! makes free at the cache level.
 //!
-//! The cache grid of each variant runs through the packet engine
-//! ([`Runner::drive`], under `--jobs`/`--schedule`).
+//! Each variant's VM run is recorded, and the cache grid replays the
+//! recording through the engine ([`Runner::drive`], under `--jobs`).
 
 use cachegc_core::report::{Cell, Table};
 use cachegc_core::{miss_penalty_cycles, Cache, ExperimentConfig, PacketKind, Runner, FAST, SLOW};
@@ -75,8 +75,8 @@ fn measure(name: &str, src: &str, cfg: &ExperimentConfig, runner: &Runner, table
     // One pass: the grid rides the engine; reference and instruction
     // volumes come from the first cache's statistics and the machine.
     let sinks: Vec<Cache> = cfg.configs().into_iter().map(Cache::new).collect();
-    let (i_prog, caches) = runner.drive(PacketKind::VmExecute, sinks, |fan| {
-        let mut m = Machine::new(NoCollector::new(), fan);
+    let (i_prog, caches) = runner.drive(PacketKind::VmExecute, sinks, |sink| {
+        let mut m = Machine::new(NoCollector::new(), sink);
         m.run_program(src).expect("runs");
         m.counters().program()
     });
@@ -95,7 +95,7 @@ fn measure(name: &str, src: &str, cfg: &ExperimentConfig, runner: &Runner, table
 
 fn sweep(scale: u32, runner: &Runner) -> Sweep {
     // E13's variants are ad-hoc Scheme sources, not registered workloads,
-    // so there is no scenario key for them — both passes stay live.
+    // so there is no scenario key for them — both passes record afresh.
     let gens = 150 * scale;
     let mut cfg = ExperimentConfig::paper();
     cfg.block_sizes = vec![64];

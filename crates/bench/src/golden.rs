@@ -2,7 +2,7 @@
 //!
 //! Every experiment's tables are checked into `results/expected/` as CSV
 //! (one file per table, named `<experiment>__<table>.csv`), regenerated at
-//! a fixed, cheap configuration: `--scale 1 --jobs 2 --schedule ws`. The
+//! a fixed, cheap configuration: `--scale 1 --jobs 2`. The
 //! `golden_check` binary reruns every sweep in-process through
 //! [`crate::experiments::ALL`] and diffs the live tables cell-by-cell
 //! against the goldens, so a regression in the §5 penalty tables or the
@@ -21,7 +21,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use cachegc_core::report::{Cell, Table};
-use cachegc_core::{EngineConfig, PacketKind, Runner, Schedule};
+use cachegc_core::{EngineConfig, PacketKind, Runner};
 
 use crate::experiments::Experiment;
 
@@ -30,7 +30,7 @@ pub const GOLDEN_DIR: &str = "results/expected";
 
 /// The fixed configuration goldens are defined at.
 pub fn golden_engine() -> EngineConfig {
-    EngineConfig::jobs(2).with_schedule(Schedule::WorkStealing)
+    EngineConfig::jobs(2)
 }
 
 /// The fixed `--scale` goldens are defined at.
@@ -445,7 +445,7 @@ mod tests {
             scale: 1,
             jobs: 2,
             jobs_requested: 2,
-            schedule: "work-stealing".into(),
+            schedule: "record-replay".into(),
             trace_cache: "off".into(),
         };
         // An empty manifest is schema-valid but strictly rejected: the
@@ -465,13 +465,10 @@ mod tests {
         let err = check_manifest(&no_engine).unwrap_err();
         assert!(err.contains("engine.runs"), "{err}");
         telemetry.record_engine(&EngineReport {
-            schedule: "work-stealing",
+            schedule: "replay",
             jobs: 2,
             sinks: 2,
-            chunks_published: 1,
             events_published: 8,
-            backpressure_ns: 0,
-            queue_depth_hwm: 1,
             workers: vec![Default::default(); 2],
         });
         let store = TraceStore::unbounded();

@@ -8,22 +8,25 @@
 //! [`Runner::collected`], [`Runner::comparison`], [`Runner::map`], or the
 //! escape hatch [`Runner::drive`].
 //!
-//! Under the hood every parallel pass is scheduled as typed work packets
-//! on a scoped crew (see [`crate::sched`]): sink shards drain as
-//! [`PacketKind::SinkDrain`]/[`PacketKind::Record`] packets, trace-store
-//! hits replay as [`PacketKind::ReplayShard`] packets, `map` items and
-//! comparison passes ride as [`PacketKind::Task`]/[`PacketKind::VmExecute`]
-//! packets. A sequential engine (`jobs <= 1`, round-robin) takes the
-//! in-thread oracle path; per-sink results are bit-identical either way
+//! Every pass takes the paper's two steps: the VM runs once with a trace
+//! [`Recorder`] as its only sink, then every sink set, configuration
+//! grid, §7 instrument and timeline tap is driven by replaying that
+//! capture. A trace-store hit skips the first step; with no store
+//! attached the capture is ephemeral (recorded, replayed, dropped).
+//! Replays shard across a scoped crew (see [`crate::sched`]) as
+//! [`PacketKind::ReplayShard`] and [`PacketKind::GridSimulate`] packets;
+//! `map` items and comparison passes ride as [`PacketKind::Task`] and
+//! [`PacketKind::VmExecute`] packets. A one-worker engine replays
+//! in-thread; per-sink results are bit-identical either way
 //! (property-tested in the workspace root).
 //!
 //! # Example
 //!
 //! ```
-//! use cachegc_core::{EngineConfig, ExperimentConfig, Runner, Schedule};
+//! use cachegc_core::{EngineConfig, ExperimentConfig, Runner};
 //! use cachegc_workloads::Workload;
 //!
-//! let runner = Runner::new(EngineConfig::jobs(2).with_schedule(Schedule::WorkStealing));
+//! let runner = Runner::new(EngineConfig::jobs(2));
 //! let cfg = ExperimentConfig::quick();
 //! let report = runner.control(Workload::Rewrite.scaled(1), &cfg).unwrap();
 //! assert!(report.refs > 0);
@@ -38,7 +41,7 @@ use cachegc_gc::{
 };
 use cachegc_sim::{CacheConfig, CacheStats, GridCache};
 use cachegc_telemetry::{probe, Counter, EngineReport, Telemetry, WorkerStats};
-use cachegc_trace::{Fanout, RefCounter, TraceSink};
+use cachegc_trace::{Fanout, RecordedTrace, Recorder, TraceSink};
 use cachegc_vm::{RunStats, VmError};
 use cachegc_workloads::WorkloadInstance;
 
@@ -46,10 +49,8 @@ use crate::experiment::{
     collected_run, control_report, CacheCell, CollectedRun, CollectorSpec, ControlReport,
     ExperimentConfig, GcComparison,
 };
-use crate::sched::{CrewReport, EngineConfig, PacketFanout, PacketKind, Scheduler, Stage};
-use crate::store::{
-    scenario_label, Acquired, HitSource, OfferOutcome, RunCtx, StoredTrace, TraceStore,
-};
+use crate::sched::{CrewReport, Crews, EngineConfig, PacketKind, Stage};
+use crate::store::{scenario_label, Acquired, HitSource, OfferOutcome, RunCtx, StoredTrace};
 use crate::telemetry::Progress;
 
 /// Degree of parallelism this machine supports (a sensible `--jobs`
@@ -58,7 +59,7 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Replay `instance` into `sink` under the given collector (`None` is the
+/// Run `instance` into `sink` under the given collector (`None` is the
 /// collection-disabled control configuration). The common trunk of every
 /// terminal below.
 fn run_spec_sink<S: TraceSink>(
@@ -93,64 +94,24 @@ fn run_spec_sink<S: TraceSink>(
     }
 }
 
-/// Report a pass that did *not* ride a [`PacketFanout`] — a sequential
-/// fanout or a sharded replay — to the telemetry engine totals, so every
-/// pass appears in the manifest's engine block whatever path drove it.
-/// The `schedule` label distinguishes the paths (`sequential` / `replay`)
-/// from the real engine schedules. Worker `i`'s `events` counts the
-/// `(event, sink)` pairs it drove under the round-robin sink sharding
-/// both paths use.
-fn record_flat_engine(
-    ctx: &RunCtx<'_>,
-    schedule: &'static str,
-    jobs: usize,
-    n_sinks: usize,
-    events: u64,
-) {
-    let Some(telemetry) = ctx.telemetry else {
-        return;
-    };
-    let workers = (0..jobs)
-        .map(|i| {
-            let shard = (n_sinks / jobs) + usize::from(i < n_sinks % jobs);
-            WorkerStats {
-                events: events * shard as u64,
-                chunks: 0,
-                steals: 0,
-                idle_ns: 0,
-            }
-        })
-        .collect();
-    telemetry.record_engine(&EngineReport {
-        schedule,
-        jobs,
-        sinks: n_sinks,
-        chunks_published: 0,
-        events_published: events,
-        backpressure_ns: 0,
-        queue_depth_hwm: 0,
-        workers,
-    });
-}
-
-/// Round-robin shard `configs` across `jobs` grid workers, remembering
-/// each configuration's input position so cells reassemble in order.
-fn shard_configs(configs: Vec<CacheConfig>, jobs: usize) -> Vec<Vec<(usize, CacheConfig)>> {
-    let mut shards: Vec<Vec<(usize, CacheConfig)>> = (0..jobs).map(|_| Vec::new()).collect();
-    for (i, cfg) in configs.into_iter().enumerate() {
-        shards[i % jobs].push((i, cfg));
+/// Round-robin shard `items` across `jobs` workers, remembering each
+/// item's input position so results reassemble in order.
+fn deal<T>(items: Vec<T>, jobs: usize) -> Vec<Vec<(usize, T)>> {
+    let mut shards: Vec<Vec<(usize, T)>> = (0..jobs).map(|_| Vec::new()).collect();
+    for (i, item) in items.into_iter().enumerate() {
+        shards[i % jobs].push((i, item));
     }
     shards
 }
 
 /// The unified experiment driver: a [`RunCtx`] (engine configuration,
 /// optional trace store / telemetry / progress) plus a packet
-/// [`Scheduler`]. `Clone` is cheap; builder methods consume and return
+/// [`Crews`]. `Clone` is cheap; builder methods consume and return
 /// `self` so runners for sub-budgets derive freely.
 #[derive(Debug, Clone)]
 pub struct Runner<'a> {
     ctx: RunCtx<'a>,
-    sched: Scheduler,
+    sched: Crews,
 }
 
 impl<'a> Runner<'a> {
@@ -158,7 +119,7 @@ impl<'a> Runner<'a> {
     pub fn new(engine: EngineConfig) -> Runner<'static> {
         Runner {
             ctx: RunCtx::new(engine),
-            sched: Scheduler::default(),
+            sched: Crews::default(),
         }
     }
 
@@ -170,7 +131,7 @@ impl<'a> Runner<'a> {
     /// A runner over an existing context (for callers that already built
     /// a [`RunCtx`]).
     pub fn over(ctx: RunCtx<'a>) -> Runner<'a> {
-        let mut sched = Scheduler::default();
+        let mut sched = Crews::default();
         if let Some(telemetry) = ctx.telemetry {
             sched = sched.with_telemetry(Arc::clone(telemetry));
         }
@@ -179,7 +140,7 @@ impl<'a> Runner<'a> {
 
     /// Attach a trace store: scenarios record on first run and replay on
     /// every later one.
-    pub fn with_store(mut self, store: &'a TraceStore) -> Runner<'a> {
+    pub fn with_store(mut self, store: &'a crate::TraceStore) -> Runner<'a> {
         self.ctx = self.ctx.with_store(store);
         self
     }
@@ -187,19 +148,19 @@ impl<'a> Runner<'a> {
     /// Attach a telemetry registry: every pass attaches a probe shard on
     /// its thread and reports phases, counters, and engine observability.
     /// Crew workers get per-worker `worker-{i}` shards, so scheduler
-    /// spans (packet execute, idle, steal, backpressure) land on stable
-    /// timeline rows when the registry captures spans.
+    /// spans (packet execute, idle, steal) land on stable timeline rows
+    /// when the registry captures spans.
     pub fn with_telemetry(mut self, telemetry: &'a Arc<Telemetry>) -> Runner<'a> {
         self.ctx = self.ctx.with_telemetry(telemetry);
         self.sched = self.sched.with_telemetry(Arc::clone(telemetry));
         self
     }
 
-    /// Attach a timeline recorder: every pass additionally drives a
-    /// fixed-geometry [`cachegc_analysis::Timeline`] tap and commits the
-    /// windowed report under the pass's scenario label. The tap rides the
-    /// same access stream as the result sinks, so it never changes any
-    /// result bit; store hits replay the recorded trace into the tap.
+    /// Attach a timeline recorder: every pass additionally replays its
+    /// capture into a fixed-geometry [`cachegc_analysis::Timeline`] tap
+    /// and commits the windowed report under the pass's scenario label.
+    /// The tap reads the same recorded stream as the result sinks, so it
+    /// never changes any result bit.
     pub fn with_timeline(mut self, timeline: &'a crate::TimelineRecorder) -> Runner<'a> {
         self.ctx = self.ctx.with_timeline(timeline);
         self
@@ -239,36 +200,42 @@ impl<'a> Runner<'a> {
         probe!(Counter::SchedPackets, report.packets);
     }
 
+    /// Report one replay to the telemetry engine totals: `workers` holds
+    /// the per-worker `(event, sink)` pairs driven, idle time and steals.
+    fn report_replay(&self, sinks: usize, events: u64, workers: Vec<WorkerStats>) {
+        if let Some(telemetry) = self.ctx.telemetry {
+            telemetry.record_engine(&EngineReport {
+                schedule: "replay",
+                jobs: workers.len(),
+                sinks,
+                events_published: events,
+                workers,
+            });
+        }
+    }
+
     /// Replay a workload into an arbitrary sink set — the general engine
-    /// terminal. Three cases:
-    ///
-    /// * No store attached: a live pass. Sequential engines drive the
-    ///   in-thread [`Fanout`]; otherwise the sinks shard across a
-    ///   [`PacketFanout`] whose drain packets ride a scoped crew.
-    /// * Store hit: the sinks are driven by a **sharded replay** of the
-    ///   recorded trace — no VM; each [`PacketKind::ReplayShard`] packet
-    ///   independently decodes the shared segments into its own sink
-    ///   subset. The recorded [`RunStats`] are returned.
-    /// * Store miss: the pass runs live with a
-    ///   [`Recorder`](cachegc_trace::Recorder) riding along on the tuple
-    ///   sink, and the capture is offered back to the store (which may
-    ///   decline it on budget grounds).
-    ///
-    /// Per-sink results are bit-identical across all three paths.
+    /// terminal. The pass first obtains the scenario's capture: a store
+    /// hit hands it over, otherwise the VM runs once into a
+    /// [`Recorder`] (offered back to the store on a miss; ephemeral with
+    /// no store). The sinks are then driven by a **sharded replay**: each
+    /// [`PacketKind::ReplayShard`] packet independently decodes the
+    /// shared capture into its own sink subset. The recorded
+    /// [`RunStats`] are returned; per-sink results are bit-identical to
+    /// feeding the sinks from the VM directly.
     ///
     /// When the runner carries a [`Telemetry`] registry this terminal is
     /// also the instrumentation root: it attaches a probe shard on the
-    /// calling thread, times the `vm_execute` / `record` / `replay` /
-    /// `sink_drain` phases (`record` wraps the live run on the miss path,
-    /// so those spans overlap `vm_execute` by design), counts live VM
-    /// runs, packets, and store capture outcomes, and has the engine
-    /// report per-worker observability. A runner carrying a [`Progress`]
-    /// gets one tick per completed pass. Neither changes any result bit.
+    /// calling thread, times the `record` / `vm_execute` (CPU) / `replay`
+    /// phases (`record` and `vm_execute` span the same VM run), counts VM
+    /// runs, packets, and store capture outcomes, and reports per-worker
+    /// engine observability. A runner carrying a [`Progress`] gets one
+    /// tick per completed pass. Neither changes any result bit.
     ///
     /// # Errors
     ///
-    /// Propagates any [`VmError`] from the program (live paths only —
-    /// replay cannot fail).
+    /// Propagates any [`VmError`] from the program (a store hit cannot
+    /// fail).
     pub fn sinks<S>(
         &self,
         instance: WorkloadInstance,
@@ -278,80 +245,54 @@ impl<'a> Runner<'a> {
     where
         S: TraceSink + Send + 'static,
     {
-        let _shard = self.ctx.telemetry.map(|t| t.attach());
-        let pass_start = Instant::now();
-        let (stats, sinks, events) = self.sinks_inner(instance, spec, sinks)?;
-        if let Some(progress) = self.ctx.progress {
-            progress.pass(self.ctx.store, events, pass_start.elapsed().as_secs_f64());
-        }
-        Ok((stats, sinks))
+        self.pass(instance, spec, |trace| self.replay_pass(trace, sinks))
     }
 
-    /// Commit a live pass's timeline tap under its scenario label (no-op
-    /// when the runner carries no recorder, so taps thread through the
-    /// drivers as plain `Option` tuple elements).
-    fn commit_tap(
+    /// One pass over a scenario: capture it, replay the capture into the
+    /// timeline tap (if any) and then into `replay`, and tick progress.
+    fn pass<T>(
         &self,
         instance: WorkloadInstance,
         spec: Option<CollectorSpec>,
-        tap: Option<cachegc_analysis::Timeline>,
-    ) {
-        if let (Some(recorder), Some(tap)) = (self.ctx.timeline, tap) {
-            recorder.commit(&scenario_label(instance, spec), tap);
-        }
-    }
-
-    /// A store hit's timeline: replay the recorded trace into a fresh tap
-    /// and commit it. The hit's sink replay shards per worker, so the tap
-    /// takes its own decode pass here rather than riding a shard — the
-    /// committed windows are bit-identical to the live pass's.
-    fn timeline_tap_replay(
-        &self,
-        instance: WorkloadInstance,
-        spec: Option<CollectorSpec>,
-        stored: &Arc<StoredTrace>,
-    ) {
-        if let Some(recorder) = self.ctx.timeline {
-            let mut tap = recorder.tap();
-            stored.trace.replay(&mut tap);
-            recorder.commit(&scenario_label(instance, spec), tap);
-        }
-    }
-
-    fn sinks_inner<S>(
-        &self,
-        instance: WorkloadInstance,
-        spec: Option<CollectorSpec>,
-        sinks: Vec<S>,
-    ) -> Result<(RunStats, Vec<S>, u64), VmError>
-    where
-        S: TraceSink + Send + 'static,
-    {
+        replay: impl FnOnce(&RecordedTrace) -> T,
+    ) -> Result<(RunStats, T), VmError> {
         let ctx = &self.ctx;
-        let Some(store) = ctx.store else {
-            // Live pass, nothing to record.
+        let _shard = ctx.telemetry.map(|t| t.attach());
+        let pass_start = Instant::now();
+        let stored = self.capture(instance, spec)?;
+        self.timeline_tap(&stored.trace, || scenario_label(instance, spec));
+        let out = replay(&stored.trace);
+        if let Some(progress) = ctx.progress {
+            progress.pass(
+                ctx.store,
+                stored.trace.events(),
+                pass_start.elapsed().as_secs_f64(),
+            );
+        }
+        Ok((stored.stats, out))
+    }
+
+    /// The scenario's capture. A store hit hands back the stored trace.
+    /// Otherwise the VM runs once with a [`Recorder`] as its only sink:
+    /// under the store's recording ticket on a miss, with the capture
+    /// offered back (the store may decline it on budget grounds; the
+    /// pass replays it anyway and then frees it), or unmetered and
+    /// ephemeral with no store attached.
+    fn capture(
+        &self,
+        instance: WorkloadInstance,
+        spec: Option<CollectorSpec>,
+    ) -> Result<Arc<StoredTrace>, VmError> {
+        let record = |recorder| {
             probe!(Counter::VmRuns);
-            if ctx.engine.is_sequential() {
-                // A tally rides the tuple sink so the sequential pass can
-                // report its event volume like the crews do; the optional
-                // timeline tap rides the same tuple.
-                let tap = ctx.timeline.map(|t| t.tap());
-                let (stats, (tap, (tally, fan))) = {
-                    let _vm = probe::phase_cpu("vm_execute");
-                    run_spec_sink(
-                        instance,
-                        spec,
-                        (tap, (RefCounter::new(), Fanout::new(sinks))),
-                    )?
-                };
-                let _drain = probe::phase("sink_drain");
-                let sinks = fan.into_sinks();
-                let events = tally.total();
-                record_flat_engine(ctx, "sequential", 1, sinks.len(), events);
-                self.commit_tap(instance, spec, tap);
-                return Ok((stats, sinks, events));
-            }
-            return self.packet_pass(instance, spec, sinks, PacketKind::SinkDrain);
+            let _record = probe::phase("record");
+            let _vm = probe::phase_cpu("vm_execute");
+            run_spec_sink(instance, spec, recorder)
+        };
+        let Some(store) = self.ctx.store else {
+            let (stats, recorder) = record(Recorder::new())?;
+            let trace = recorder.finish();
+            return Ok(Arc::new(StoredTrace { trace, stats }));
         };
         let ticket = match store.acquire(instance, spec) {
             Acquired::Hit { trace, source } => {
@@ -360,57 +301,18 @@ impl<'a> Runner<'a> {
                     HitSource::SpillLoad => probe!(Counter::StoreSpillLoads),
                     HitSource::Coalesced => probe!(Counter::StoreCoalesced),
                 }
-                self.timeline_tap_replay(instance, spec, &trace);
-                let events = trace.trace.events();
-                let (stats, sinks) = self.replay_pass(&trace, sinks);
-                return Ok((stats, sinks, events));
+                return Ok(trace);
             }
             Acquired::Miss(ticket) => ticket,
         };
-        // Miss: this pass holds the scenario's single recording flight.
-        // Run live with the ticket's budget-metered recorder riding
-        // along, then offer the capture back; concurrent passes of the
-        // same scenario are blocked in `acquire` meanwhile. An early
+        // Miss: this pass holds the scenario's single recording flight;
+        // concurrent passes of the same scenario block in `acquire`. An
         // error return drops the ticket, which cancels the flight and
         // hands leadership to a waiter.
-        probe!(Counter::VmRuns);
         let record_start = Instant::now();
-        let _record = probe::phase("record");
-        let recorder = ticket.recorder();
-        let tap = ctx.timeline.map(|t| t.tap());
-        let (stats, recorder, sinks, tap) = if ctx.engine.is_sequential() {
-            let (stats, (tap, (rec, fan))) = {
-                let _vm = probe::phase_cpu("vm_execute");
-                run_spec_sink(instance, spec, (tap, (recorder, Fanout::new(sinks))))?
-            };
-            let _drain = probe::phase("sink_drain");
-            let sinks = fan.into_sinks();
-            record_flat_engine(ctx, "sequential", 1, sinks.len(), rec.events());
-            (stats, rec, sinks, tap)
-        } else {
-            let drain_jobs = ctx.engine.jobs.max(1).min(sinks.len().max(1));
-            let (result, report) = self.sched.run(drain_jobs, |crew| {
-                let fan = PacketFanout::new(
-                    crew,
-                    sinks,
-                    &ctx.engine,
-                    PacketKind::Record,
-                    ctx.telemetry.cloned(),
-                );
-                let (stats, (tap, (rec, fan))) = {
-                    let _vm = probe::phase_cpu("vm_execute");
-                    run_spec_sink(instance, spec, (tap, (recorder, fan)))?
-                };
-                let _drain = probe::phase("sink_drain");
-                Ok((stats, rec, fan.into_sinks(), tap))
-            });
-            self.flush_crew(&report);
-            let (stats, rec, sinks, tap) = result?;
-            (stats, rec, sinks, tap)
-        };
-        self.commit_tap(instance, spec, tap);
-        let events = recorder.events();
-        match ticket.offer(recorder, stats, record_start.elapsed()) {
+        let (stats, recorder) = record(ticket.recorder())?;
+        let (stored, outcome) = ticket.settle(recorder, stats, record_start.elapsed());
+        match outcome {
             OfferOutcome::Stored {
                 bytes,
                 events,
@@ -430,116 +332,89 @@ impl<'a> Runner<'a> {
             }
             OfferOutcome::DroppedOverBudget => {
                 probe!(Counter::StoreCapturesDropped);
-                if let Some(telemetry) = ctx.telemetry {
+                if let Some(telemetry) = self.ctx.telemetry {
                     telemetry.warn(&format!(
                         "trace store dropped over-budget capture of {} \
-                         (budget {} bytes); the scenario keeps running live",
+                         (budget {} bytes); the scenario records again on its next pass",
                         scenario_label(instance, spec),
                         store.budget()
                     ));
                 }
             }
-            OfferOutcome::Duplicate => {}
         }
-        Ok((stats, sinks, events))
+        Ok(stored)
     }
 
-    /// A live pass with the sinks sharded across a packet crew.
-    fn packet_pass<S>(
-        &self,
-        instance: WorkloadInstance,
-        spec: Option<CollectorSpec>,
-        sinks: Vec<S>,
-        kind: PacketKind,
-    ) -> Result<(RunStats, Vec<S>, u64), VmError>
+    /// Replay the capture into a fresh timeline tap and commit it under
+    /// `label` (no-op when the runner carries no recorder). The tap takes
+    /// its own decode pass rather than riding a sink shard, so the
+    /// committed windows do not depend on the worker count.
+    fn timeline_tap(&self, trace: &RecordedTrace, label: impl FnOnce() -> String) {
+        if let Some(recorder) = self.ctx.timeline {
+            let mut tap = recorder.tap();
+            trace.replay(&mut tap);
+            recorder.commit(&label(), tap);
+        }
+    }
+
+    /// Drive the sinks by sharded replay, one [`PacketKind::ReplayShard`]
+    /// packet per worker (in-thread when the engine budget is one
+    /// worker). Cannot fail — replay never re-runs the VM.
+    fn replay_pass<S>(&self, trace: &RecordedTrace, sinks: Vec<S>) -> Vec<S>
     where
         S: TraceSink + Send + 'static,
     {
-        let ctx = &self.ctx;
-        let tap = ctx.timeline.map(|t| t.tap());
-        let drain_jobs = ctx.engine.jobs.max(1).min(sinks.len().max(1));
-        let (result, report) = self.sched.run(drain_jobs, |crew| {
-            let fan = PacketFanout::new(crew, sinks, &ctx.engine, kind, ctx.telemetry.cloned());
-            let (stats, (tap, fan)) = {
-                let _vm = probe::phase_cpu("vm_execute");
-                run_spec_sink(instance, spec, (tap, fan))?
+        let n_sinks = sinks.len();
+        let events = trace.events();
+        let jobs = self.ctx.engine.jobs.clamp(1, n_sinks.max(1));
+        let _replay = probe::phase("replay");
+        if jobs <= 1 {
+            let mut fan = Fanout::new(sinks);
+            trace.replay(&mut fan);
+            let worker = WorkerStats {
+                events: events * n_sinks as u64,
+                ..WorkerStats::default()
             };
-            let _drain = probe::phase("sink_drain");
-            let events = fan.events_published();
-            Ok((stats, fan.into_sinks(), events, tap))
+            self.report_replay(n_sinks, events, vec![worker]);
+            return fan.into_sinks();
+        }
+        // Static shards: sink `i` on packet `i % jobs`, pinned to worker
+        // `i % jobs`'s deque.
+        type ShardSlot<S> = Mutex<Option<Vec<(usize, S)>>>;
+        let slots: Vec<ShardSlot<S>> = (0..jobs).map(|_| Mutex::new(None)).collect();
+        let ((), report) = self.sched.run(jobs, |crew| {
+            for (j, mut shard) in deal(sinks, jobs).into_iter().enumerate() {
+                let slot = &slots[j];
+                crew.submit(
+                    Stage::Simulate,
+                    PacketKind::ReplayShard,
+                    Some(j),
+                    move |stats| {
+                        for (_, sink) in &mut shard {
+                            trace.replay(sink);
+                        }
+                        stats.events += events * shard.len() as u64;
+                        *slot.lock().expect("replay slot poisoned") = Some(shard);
+                    },
+                );
+            }
+            crew.wait_idle();
         });
         self.flush_crew(&report);
-        let (stats, sinks, events, tap) = result?;
-        self.commit_tap(instance, spec, tap);
-        Ok((stats, sinks, events))
-    }
-
-    /// A store hit: drive the sinks by sharded replay, one
-    /// [`PacketKind::ReplayShard`] packet per worker (in-thread when the
-    /// engine budget is one worker). Cannot fail — the trace is already
-    /// decoded-validated by construction.
-    #[allow(clippy::type_complexity)]
-    fn replay_pass<S>(&self, stored: &Arc<StoredTrace>, sinks: Vec<S>) -> (RunStats, Vec<S>)
-    where
-        S: TraceSink + Send + 'static,
-    {
-        let ctx = &self.ctx;
-        let n_sinks = sinks.len();
-        let events = stored.trace.events();
-        let jobs = ctx.engine.jobs.clamp(1, n_sinks.max(1));
-        let sinks = {
-            let _replay = probe::phase("replay");
-            if jobs <= 1 {
-                let mut fan = Fanout::new(sinks);
-                stored.trace.replay(&mut fan);
-                fan.into_sinks()
-            } else {
-                // Static shards: sink `i` on packet `i % jobs`, pinned to
-                // worker `i % jobs`'s deque.
-                let mut shards: Vec<Vec<(usize, S)>> = (0..jobs).map(|_| Vec::new()).collect();
-                for (i, sink) in sinks.into_iter().enumerate() {
-                    shards[i % jobs].push((i, sink));
-                }
-                let slots: Vec<Mutex<Option<Vec<(usize, S)>>>> =
-                    (0..jobs).map(|_| Mutex::new(None)).collect();
-                let ((), report) = self.sched.run(jobs, |crew| {
-                    for (j, shard) in shards.into_iter().enumerate() {
-                        let trace = Arc::clone(stored);
-                        let slot = &slots[j];
-                        crew.submit(
-                            Stage::Simulate,
-                            PacketKind::ReplayShard,
-                            Some(j),
-                            move |stats| {
-                                let mut shard = shard;
-                                for (_, sink) in &mut shard {
-                                    trace.trace.replay(sink);
-                                }
-                                stats.events += events * shard.len() as u64;
-                                *slot.lock().expect("replay slot poisoned") = Some(shard);
-                            },
-                        );
-                    }
-                    crew.wait_idle();
-                });
-                self.flush_crew(&report);
-                let mut out: Vec<Option<S>> = (0..n_sinks).map(|_| None).collect();
-                for slot in slots {
-                    let shard = slot
-                        .into_inner()
-                        .expect("replay slot poisoned")
-                        .expect("replay packet ran");
-                    for (i, sink) in shard {
-                        out[i] = Some(sink);
-                    }
-                }
-                out.into_iter()
-                    .map(|s| s.expect("every sink accounted for"))
-                    .collect()
+        self.report_replay(n_sinks, events, report.workers);
+        let mut out: Vec<Option<S>> = (0..n_sinks).map(|_| None).collect();
+        for slot in slots {
+            let shard = slot
+                .into_inner()
+                .expect("replay slot poisoned")
+                .expect("replay packet ran");
+            for (i, sink) in shard {
+                out[i] = Some(sink);
             }
-        };
-        record_flat_engine(ctx, "replay", jobs, n_sinks, events);
-        (stored.stats, sinks)
+        }
+        out.into_iter()
+            .map(|s| s.expect("every sink accounted for"))
+            .collect()
     }
 
     /// [`Runner::sinks`] for the closed heterogeneous [`Instrument`] set —
@@ -562,166 +437,95 @@ impl<'a> Runner<'a> {
     /// `instance` — the terminal behind [`Runner::control`] and
     /// [`Runner::collected`].
     ///
-    /// The grid rides as one [`GridCache`] shard per worker: a store hit
-    /// is driven by the batch decoder (one decode pass per worker for its
-    /// whole shard, as [`PacketKind::GridSimulate`] packets when sharded),
-    /// and a live or recording pass fans the stream into the shards
-    /// through [`Runner::sinks`]. Cells come back in input order, with
-    /// statistics bit-identical to one [`cachegc_sim::Cache`] per
-    /// configuration (the `run_control`/`run_collected` oracles).
+    /// The pass obtains the scenario's capture exactly as
+    /// [`Runner::sinks`] does, then drives the grid as one [`GridCache`]
+    /// shard per worker, each fed by its own batched decode of the
+    /// capture ([`PacketKind::GridSimulate`] packets when sharded). Cells
+    /// come back in input order, with statistics bit-identical to one
+    /// [`cachegc_sim::Cache`] per configuration (the
+    /// `run_control`/`run_collected` oracles).
     ///
     /// # Errors
     ///
-    /// Propagates any [`VmError`] from the program (live paths only).
+    /// Propagates any [`VmError`] from the program.
     pub fn grid(
         &self,
         instance: WorkloadInstance,
         spec: Option<CollectorSpec>,
         configs: Vec<CacheConfig>,
     ) -> Result<(RunStats, Vec<CacheCell>), VmError> {
-        let ctx = &self.ctx;
-        // A recorded scenario replays through the batch decoder;
-        // otherwise the pass runs live (recording on a store miss) with
-        // the grid riding the stream as GridCache shards.
-        if let Some(store) = ctx.store {
-            let hit = {
-                let _shard = ctx.telemetry.map(|t| t.attach());
-                if store.contains(instance, spec) {
-                    match store.acquire(instance, spec) {
-                        Acquired::Hit { trace, source } => {
-                            match source {
-                                HitSource::Resident => {}
-                                HitSource::SpillLoad => probe!(Counter::StoreSpillLoads),
-                                HitSource::Coalesced => probe!(Counter::StoreCoalesced),
-                            }
-                            Some(trace)
-                        }
-                        // Evicted between `contains` and `acquire`:
-                        // dropping the ticket cancels the recording
-                        // flight; the live path below re-acquires.
-                        Acquired::Miss(_ticket) => None,
-                    }
-                } else {
-                    None
-                }
-            };
-            if let Some(stored) = hit {
-                let _shard = ctx.telemetry.map(|t| t.attach());
-                let pass_start = Instant::now();
-                self.timeline_tap_replay(instance, spec, &stored);
-                let out = self.grid_replay(&stored, configs);
-                if let Some(progress) = ctx.progress {
-                    progress.pass(
-                        ctx.store,
-                        stored.trace.events(),
-                        pass_start.elapsed().as_secs_f64(),
-                    );
-                }
-                return Ok(out);
-            }
-        }
-        let n = configs.len();
-        let jobs = ctx.engine.jobs.clamp(1, n.max(1));
-        let shards = shard_configs(configs, jobs);
-        let order: Vec<Vec<usize>> = shards
-            .iter()
-            .map(|s| s.iter().map(|&(i, _)| i).collect())
-            .collect();
-        let sinks: Vec<GridCache> = shards
-            .into_iter()
-            .map(|s| GridCache::new(s.into_iter().map(|(_, c)| c).collect()))
-            .collect();
-        let (stats, grids) = self.sinks(instance, spec, sinks)?;
-        let mut cells: Vec<Option<CacheCell>> = (0..n).map(|_| None).collect();
-        let mut grid_cells = 0u64;
-        for (indices, grid) in order.into_iter().zip(grids) {
-            grid_cells += grid.cells_simulated();
-            for (i, (config, stats)) in indices.into_iter().zip(grid.into_cells()) {
-                cells[i] = Some(CacheCell { config, stats });
-            }
-        }
-        let _shard = ctx.telemetry.map(|t| t.attach());
-        probe!(Counter::GridCellsSimulated, grid_cells);
-        let cells = cells
-            .into_iter()
-            .map(|c| c.expect("every grid cell accounted for"))
-            .collect();
-        Ok((stats, cells))
+        self.pass(instance, spec, |trace| self.grid_replay(trace, configs))
     }
 
-    /// A store hit: one batched decode pass per worker drives that
-    /// worker's [`GridCache`] shard of the configuration grid (in-thread
-    /// when the engine budget is one worker; [`PacketKind::GridSimulate`]
-    /// packets otherwise). Cannot fail — replay never re-runs the VM.
-    fn grid_replay(
-        &self,
-        stored: &Arc<StoredTrace>,
-        configs: Vec<CacheConfig>,
-    ) -> (RunStats, Vec<CacheCell>) {
-        let ctx = &self.ctx;
+    /// One batched decode pass per worker drives that worker's
+    /// [`GridCache`] shard of the configuration grid (in-thread when the
+    /// engine budget is one worker; [`PacketKind::GridSimulate`] packets
+    /// otherwise). Cannot fail — replay never re-runs the VM.
+    fn grid_replay(&self, trace: &RecordedTrace, configs: Vec<CacheConfig>) -> Vec<CacheCell> {
         let n = configs.len();
-        let events = stored.trace.events();
-        let jobs = ctx.engine.jobs.clamp(1, n.max(1));
-        let (cells, batches) = {
-            let _replay = probe::phase("replay");
-            if jobs <= 1 {
-                let mut grid = GridCache::new(configs);
-                let batches = stored.trace.replay_batched(|b| grid.consume(b));
-                let cells = grid
-                    .into_cells()
-                    .into_iter()
-                    .map(|(config, stats)| CacheCell { config, stats })
-                    .collect::<Vec<_>>();
-                (cells, batches)
-            } else {
-                let shards = shard_configs(configs, jobs);
-                type GridSlot = Mutex<Option<(Vec<usize>, Vec<(CacheConfig, CacheStats)>, u64)>>;
-                let slots: Vec<GridSlot> = (0..jobs).map(|_| Mutex::new(None)).collect();
-                let ((), report) = self.sched.run(jobs, |crew| {
-                    for (j, shard) in shards.into_iter().enumerate() {
-                        let trace = Arc::clone(stored);
-                        let slot = &slots[j];
-                        crew.submit(
-                            Stage::Simulate,
-                            PacketKind::GridSimulate,
-                            Some(j),
-                            move |stats| {
-                                let (indices, cfgs): (Vec<usize>, Vec<CacheConfig>) =
-                                    shard.into_iter().unzip();
-                                let mut grid = GridCache::new(cfgs);
-                                let batches = trace.trace.replay_batched(|b| grid.consume(b));
-                                stats.events += events * indices.len() as u64;
-                                *slot.lock().expect("grid slot poisoned") =
-                                    Some((indices, grid.into_cells(), batches));
-                            },
-                        );
-                    }
-                    crew.wait_idle();
-                });
-                self.flush_crew(&report);
-                let mut out: Vec<Option<CacheCell>> = (0..n).map(|_| None).collect();
-                let mut batches = 0;
-                for slot in slots {
-                    let (indices, shard_cells, b) = slot
-                        .into_inner()
-                        .expect("grid slot poisoned")
-                        .expect("grid packet ran");
-                    batches += b;
-                    for (i, (config, stats)) in indices.into_iter().zip(shard_cells) {
-                        out[i] = Some(CacheCell { config, stats });
-                    }
+        let events = trace.events();
+        let jobs = self.ctx.engine.jobs.clamp(1, n.max(1));
+        let _replay = probe::phase("replay");
+        let (cells, batches) = if jobs <= 1 {
+            let mut grid = GridCache::new(configs);
+            let batches = trace.replay_batched(|b| grid.consume(b));
+            let worker = WorkerStats {
+                events: events * n as u64,
+                ..WorkerStats::default()
+            };
+            self.report_replay(n, events, vec![worker]);
+            let cells = grid
+                .into_cells()
+                .into_iter()
+                .map(|(config, stats)| CacheCell { config, stats })
+                .collect::<Vec<_>>();
+            (cells, batches)
+        } else {
+            type GridSlot = Mutex<Option<(Vec<usize>, Vec<(CacheConfig, CacheStats)>, u64)>>;
+            let slots: Vec<GridSlot> = (0..jobs).map(|_| Mutex::new(None)).collect();
+            let ((), report) = self.sched.run(jobs, |crew| {
+                for (j, shard) in deal(configs, jobs).into_iter().enumerate() {
+                    let slot = &slots[j];
+                    crew.submit(
+                        Stage::Simulate,
+                        PacketKind::GridSimulate,
+                        Some(j),
+                        move |stats| {
+                            let (indices, cfgs): (Vec<usize>, Vec<CacheConfig>) =
+                                shard.into_iter().unzip();
+                            let mut grid = GridCache::new(cfgs);
+                            let batches = trace.replay_batched(|b| grid.consume(b));
+                            stats.events += events * indices.len() as u64;
+                            *slot.lock().expect("grid slot poisoned") =
+                                Some((indices, grid.into_cells(), batches));
+                        },
+                    );
                 }
-                let cells = out
-                    .into_iter()
-                    .map(|c| c.expect("every grid cell accounted for"))
-                    .collect::<Vec<_>>();
-                (cells, batches)
+                crew.wait_idle();
+            });
+            self.flush_crew(&report);
+            self.report_replay(n, events, report.workers);
+            let mut out: Vec<Option<CacheCell>> = (0..n).map(|_| None).collect();
+            let mut batches = 0;
+            for slot in slots {
+                let (indices, shard_cells, b) = slot
+                    .into_inner()
+                    .expect("grid slot poisoned")
+                    .expect("grid packet ran");
+                batches += b;
+                for (i, (config, stats)) in indices.into_iter().zip(shard_cells) {
+                    out[i] = Some(CacheCell { config, stats });
+                }
             }
+            let cells = out
+                .into_iter()
+                .map(|c| c.expect("every grid cell accounted for"))
+                .collect::<Vec<_>>();
+            (cells, batches)
         };
         probe!(Counter::ReplayBatches, batches);
         probe!(Counter::GridCellsSimulated, events * n as u64);
-        record_flat_engine(ctx, "replay", jobs, n, events);
-        (stored.stats, cells)
+        cells
     }
 
     /// The §5 control experiment: run `instance` with collection disabled
@@ -762,8 +566,8 @@ impl<'a> Runner<'a> {
     /// two [`PacketKind::VmExecute`] packets on a two-worker crew,
     /// splitting the engine's worker budget between them. A pass whose
     /// scenario is already recorded in the store is a cheap replay, so it
-    /// gets the minimum (one worker) and the live pass gets the
-    /// remainder; when both are live (or both recorded) the budget is
+    /// gets the minimum (one worker) and the recording pass gets the
+    /// remainder; when both record (or both replay) the budget is
     /// halved, with the odd worker going to the collected pass (the one
     /// with more events). A sequential engine runs both passes inline,
     /// still through the store.
@@ -778,7 +582,7 @@ impl<'a> Runner<'a> {
         spec: CollectorSpec,
     ) -> Result<GcComparison, VmError> {
         if self.ctx.engine.is_sequential() {
-            // Even store-less sequential runs go through `sinks`, so
+            // Even store-less sequential runs go through `grid`, so
             // telemetry and progress behave uniformly.
             return Ok(GcComparison {
                 control: self.control(instance, cfg)?,
@@ -895,58 +699,29 @@ impl<'a> Runner<'a> {
     }
 
     /// The escape hatch for passes that drive the sink themselves (e.g. a
-    /// hand-built VM loop): `f` receives a [`TraceSink`] fanned out over
-    /// `sinks` under this runner's engine — sequential in-thread, or
-    /// sharded across a packet crew — and the sinks come back in input
-    /// order along with `f`'s result. Phases (`vm_execute`/`sink_drain`),
-    /// the VM-run counter, and engine observability are reported exactly
-    /// like [`Runner::sinks`]'s live path.
+    /// hand-built VM loop): `f` records its stream into the [`TraceSink`]
+    /// it receives — a [`Recorder`], the pass's only sink — and the
+    /// capture is then replayed into `sinks` under this runner's engine
+    /// exactly as [`Runner::sinks`] replays, after the timeline tap (if
+    /// any) commits under `drive:{kind}`. The sinks come back in input
+    /// order along with `f`'s result; phases, the VM-run counter, and
+    /// engine observability are reported like [`Runner::sinks`]'s.
     pub fn drive<S, T, F>(&self, kind: PacketKind, sinks: Vec<S>, f: F) -> (T, Vec<S>)
     where
         S: TraceSink + Send + 'static,
         F: FnOnce(&mut dyn TraceSink) -> T,
     {
-        let ctx = &self.ctx;
-        let _shard = ctx.telemetry.map(|t| t.attach());
+        let _shard = self.ctx.telemetry.map(|t| t.attach());
         probe!(Counter::VmRuns);
-        let tap = ctx.timeline.map(|t| t.tap());
-        let commit = |tap: Option<cachegc_analysis::Timeline>| {
-            if let (Some(recorder), Some(tap)) = (ctx.timeline, tap) {
-                recorder.commit(&format!("drive:{}", kind.name()), tap);
-            }
+        let mut recorder = Recorder::new();
+        let out = {
+            let _record = probe::phase("record");
+            let _vm = probe::phase_cpu("vm_execute");
+            f(&mut recorder)
         };
-        if ctx.engine.is_sequential() {
-            // A tally rides the tuple sink so the sequential pass can
-            // report its event volume like the crews do; the optional
-            // timeline tap rides the same tuple.
-            let mut group = (tap, (RefCounter::new(), Fanout::new(sinks)));
-            let out = {
-                let _vm = probe::phase_cpu("vm_execute");
-                f(&mut group)
-            };
-            let _drain = probe::phase("sink_drain");
-            let (tap, (tally, fan)) = group;
-            let sinks = fan.into_sinks();
-            record_flat_engine(ctx, "sequential", 1, sinks.len(), tally.total());
-            commit(tap);
-            return (out, sinks);
-        }
-        let drain_jobs = ctx.engine.jobs.max(1).min(sinks.len().max(1));
-        let (result, report) = self.sched.run(drain_jobs, |crew| {
-            let fan = PacketFanout::new(crew, sinks, &ctx.engine, kind, ctx.telemetry.cloned());
-            let mut group = (tap, fan);
-            let out = {
-                let _vm = probe::phase_cpu("vm_execute");
-                f(&mut group)
-            };
-            let _drain = probe::phase("sink_drain");
-            let (tap, fan) = group;
-            (out, fan.into_sinks(), tap)
-        });
-        self.flush_crew(&report);
-        let (out, sinks, tap) = result;
-        commit(tap);
-        (out, sinks)
+        let trace = recorder.finish();
+        self.timeline_tap(&trace, || format!("drive:{}", kind.name()));
+        (out, self.replay_pass(&trace, sinks))
     }
 }
 
@@ -954,7 +729,6 @@ impl<'a> Runner<'a> {
 mod tests {
     use super::*;
     use crate::experiment::{run_collected, run_control};
-    use crate::sched::Schedule;
     use cachegc_analysis::{ActivityTracker, BlockTracker, SweepPlot};
     use cachegc_sim::{Cache, CacheConfig, SetAssocCache};
     use cachegc_workloads::Workload;
@@ -968,26 +742,19 @@ mod tests {
     }
 
     #[test]
-    fn parallel_control_matches_sequential() {
+    fn control_matches_sequential_at_every_worker_count() {
         let cfg = ExperimentConfig::quick();
         let w = Workload::Rewrite.scaled(1);
         let seq = run_control(w, &cfg).unwrap();
-        let par = Runner::new(EngineConfig::jobs(4)).control(w, &cfg).unwrap();
-        assert_eq!(seq.refs, par.refs);
-        assert_eq!(seq.i_prog, par.i_prog);
-        assert_eq!(seq.allocated, par.allocated);
-        grids_equal(&seq.cells, &par.cells);
-    }
-
-    #[test]
-    fn work_stealing_control_matches_sequential() {
-        let cfg = ExperimentConfig::quick();
-        let w = Workload::Rewrite.scaled(1);
-        let seq = run_control(w, &cfg).unwrap();
-        let engine = EngineConfig::jobs(3).with_schedule(Schedule::WorkStealing);
-        let par = Runner::new(engine).control(w, &cfg).unwrap();
-        assert_eq!(seq.refs, par.refs);
-        grids_equal(&seq.cells, &par.cells);
+        for jobs in [1, 3, 4] {
+            let par = Runner::new(EngineConfig::jobs(jobs))
+                .control(w, &cfg)
+                .unwrap();
+            assert_eq!(seq.refs, par.refs, "jobs {jobs}");
+            assert_eq!(seq.i_prog, par.i_prog, "jobs {jobs}");
+            assert_eq!(seq.allocated, par.allocated, "jobs {jobs}");
+            grids_equal(&seq.cells, &par.cells);
+        }
     }
 
     #[test]
@@ -1049,23 +816,17 @@ mod tests {
     }
 
     #[test]
-    fn instruments_identical_under_every_schedule() {
+    fn instruments_identical_at_every_worker_count() {
         let w = Workload::Rewrite.scaled(1);
         let (stats0, oracle) = Runner::sequential()
             .instruments(w, None, mixed_instruments())
             .unwrap();
-        for schedule in [Schedule::RoundRobin, Schedule::WorkStealing] {
-            let engine = EngineConfig::jobs(3).with_schedule(schedule);
-            let (stats, out) = Runner::new(engine)
+        for jobs in [2, 3, 6] {
+            let (stats, out) = Runner::new(EngineConfig::jobs(jobs))
                 .instruments(w, None, mixed_instruments())
                 .unwrap();
             assert_eq!(stats0.instructions.program(), stats.instructions.program());
-            assert_eq!(
-                oracle,
-                out,
-                "{}: instrument set bit-identical",
-                schedule.name()
-            );
+            assert_eq!(oracle, out, "jobs {jobs}: instrument set bit-identical");
         }
     }
 
@@ -1075,9 +836,10 @@ mod tests {
         let spec = CollectorSpec::Cheney {
             semispace_bytes: 512 << 10,
         };
-        let engine = EngineConfig::jobs(2).with_schedule(Schedule::WorkStealing);
         let sinks = vec![Cache::new(CacheConfig::direct_mapped(32 << 10, 64))];
-        let (stats, out) = Runner::new(engine).sinks(w, Some(spec), sinks).unwrap();
+        let (stats, out) = Runner::new(EngineConfig::jobs(2))
+            .sinks(w, Some(spec), sinks)
+            .unwrap();
         assert!(stats.gc.collections > 0, "heap small enough to force GC");
         assert!(
             out[0].stats().refs_by(cachegc_trace::Context::Collector) > 0,
@@ -1089,7 +851,7 @@ mod tests {
     fn grid_matches_the_cache_oracles_on_every_path() {
         let cfg = ExperimentConfig::quick();
         let w = Workload::Rewrite.scaled(1);
-        let ws = EngineConfig::jobs(2).with_schedule(Schedule::WorkStealing);
+        let two = EngineConfig::jobs(2);
         let oracle = run_control(w, &cfg).unwrap();
         let check = |tag: &str, got: ControlReport| {
             assert_eq!(oracle.refs, got.refs, "{tag}");
@@ -1097,11 +859,11 @@ mod tests {
             assert_eq!(oracle.allocated, got.allocated, "{tag}");
             grids_equal(&oracle.cells, &got.cells);
         };
-        // No store: GridCache shards ride a live packet pass.
-        check("live", Runner::new(ws).control(w, &cfg).unwrap());
+        // No store: an ephemeral capture replays into GridCache shards.
+        check("ephemeral", Runner::new(two).control(w, &cfg).unwrap());
         let store = crate::TraceStore::unbounded();
-        let runner = Runner::new(ws).with_store(&store);
-        // Miss: the live pass records the scenario as it simulates.
+        let runner = Runner::new(two).with_store(&store);
+        // Miss: the VM records the scenario, then the grid replays it.
         check("record", runner.control(w, &cfg).unwrap());
         // Hit on two workers: one GridSimulate packet per grid shard.
         check("packet replay", runner.control(w, &cfg).unwrap());
@@ -1115,7 +877,7 @@ mod tests {
             "one recording, two replays"
         );
         assert!(s.bytes > 0 && s.events == oracle.refs);
-        // A collected pass, live-recorded then replayed, against the
+        // A collected pass, recorded then replayed, against the
         // sequential `Vec<Cache>` oracle.
         let spec = CollectorSpec::Cheney {
             semispace_bytes: 512 << 10,
@@ -1144,16 +906,43 @@ mod tests {
     }
 
     #[test]
-    fn over_budget_store_falls_back_to_live_runs() {
+    fn over_budget_store_replays_each_pass_from_its_own_capture() {
         let cfg = ExperimentConfig::quick();
         let w = Workload::Rewrite.scaled(1);
         let store = crate::TraceStore::with_budget(64);
         let runner = Runner::new(EngineConfig::jobs(2)).with_store(&store);
         let a = runner.control(w, &cfg).unwrap();
         let b = runner.control(w, &cfg).unwrap();
+        grids_equal(&run_control(w, &cfg).unwrap().cells, &a.cells);
         grids_equal(&a.cells, &b.cells);
         let s = store.stats();
         assert_eq!((s.entries, s.misses, s.over_budget), (0, 2, 2));
+        assert_eq!(
+            (s.reserved, s.bytes),
+            (0, 0),
+            "dropped captures hold nothing"
+        );
+    }
+
+    #[test]
+    fn a_failed_run_leaves_the_store_balanced() {
+        // A semispace far too small for the program: the VM runs out of
+        // memory mid-recording, the pass errors, and the cancelled flight
+        // takes its miss back so the store's arrivals still balance.
+        let w = Workload::Rewrite.scaled(1);
+        let spec = CollectorSpec::Cheney {
+            semispace_bytes: 4096,
+        };
+        let store = crate::TraceStore::unbounded();
+        let runner = Runner::new(EngineConfig::jobs(2)).with_store(&store);
+        let sinks = vec![Cache::new(CacheConfig::direct_mapped(32 << 10, 64))];
+        assert!(runner.sinks(w, Some(spec), sinks).is_err());
+        let s = store.stats();
+        assert_eq!(
+            (s.misses, s.entries, s.over_budget, s.reserved),
+            (0, 0, 0, 0)
+        );
+        assert!(!store.contains(w, Some(spec)));
     }
 
     #[test]
@@ -1230,17 +1019,17 @@ mod tests {
             oracle.access(*a);
         }
         let expected = oracle.into_sinks();
-        for schedule in [Schedule::RoundRobin, Schedule::WorkStealing] {
-            let engine = EngineConfig::jobs(2).with_schedule(schedule);
-            let (n, got) = Runner::new(engine).drive(PacketKind::VmExecute, grid(), |fan| {
+        for jobs in [1, 2, 3] {
+            let runner = Runner::new(EngineConfig::jobs(jobs));
+            let (n, got) = runner.drive(PacketKind::VmExecute, grid(), |sink| {
                 for a in &stream {
-                    fan.access(*a);
+                    sink.access(*a);
                 }
                 stream.len()
             });
             assert_eq!(n, stream.len());
             for (g, e) in got.iter().zip(&expected) {
-                assert_eq!(g.stats(), e.stats(), "{}", schedule.name());
+                assert_eq!(g.stats(), e.stats(), "jobs {jobs}");
             }
         }
     }
@@ -1271,14 +1060,11 @@ mod tests {
             report.totals,
             "window sums reconstruct the aggregate"
         );
-        // Packet crews, the recording pass, and the sharded and in-thread
-        // replays all commit the same report.
+        // The ephemeral pass, the recording pass, and the sharded and
+        // in-thread store hits all commit the same report.
         let store = crate::TraceStore::unbounded();
         for (tag, runner) in [
-            (
-                "packet",
-                Runner::new(EngineConfig::jobs(3).with_schedule(Schedule::WorkStealing)),
-            ),
+            ("ephemeral", Runner::new(EngineConfig::jobs(3))),
             (
                 "record",
                 Runner::new(EngineConfig::jobs(2)).with_store(&store),
@@ -1299,9 +1085,9 @@ mod tests {
         let rec = TimelineRecorder::new(spec);
         let runner = Runner::new(EngineConfig::jobs(2)).with_timeline(&rec);
         let sinks = vec![Cache::new(CacheConfig::direct_mapped(32 << 10, 64))];
-        runner.drive(PacketKind::VmExecute, sinks, |fan| {
+        runner.drive(PacketKind::VmExecute, sinks, |sink| {
             for i in 0..10_000u32 {
-                fan.access(cachegc_trace::Access::read(
+                sink.access(cachegc_trace::Access::read(
                     i.wrapping_mul(68) % (1 << 18),
                     cachegc_trace::Context::Mutator,
                 ));

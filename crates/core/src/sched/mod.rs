@@ -2,29 +2,26 @@
 //! drained by a crew of workers with per-worker deques and work-stealing.
 //!
 //! Modeled on mmtk-core's `scheduler` module: every unit of engine work —
-//! a VM execution, a trace recording, a replay shard, an instrument-cell
-//! drain, a golden-check diff — is a [`PacketKind`]-typed packet placed in
-//! a [`Stage`] bucket or pushed onto a specific worker's deque. Workers
-//! prefer their own deque, then drain the shared buckets in stage-priority
-//! order (`Prepare → Execute → Simulate → Finalize`), then steal from
-//! sibling deques; claims from shared buckets and sibling deques count as
-//! steals, so the per-worker [`WorkerStats`] that flow into the telemetry
-//! manifest distinguish static placement from dynamic balancing.
+//! a VM execution, a replay shard, a grid shard, a golden-check diff — is
+//! a [`PacketKind`]-typed packet placed in a [`Stage`] bucket or pushed
+//! onto a specific worker's deque. Workers prefer their own deque, then
+//! drain the shared buckets in stage-priority order (`Prepare → Execute →
+//! Simulate → Finalize`), then steal from sibling deques; claims from
+//! shared buckets and sibling deques count as steals, so the per-worker
+//! [`WorkerStats`] that flow into the telemetry manifest distinguish
+//! static placement from dynamic balancing.
 //!
-//! The legacy `ParallelFanout`'s two schedules survive as *bucket
-//! policies* of [`fanout::PacketFanout`] rather than a parallel code path:
-//! round-robin pins each sink shard's drain packets to a preferred worker
-//! deque, work-stealing publishes them to the shared `Simulate` bucket.
+//! Nothing streams between packets: the engine records a pass's trace
+//! before any packet replays it, so replay shards are independent and
+//! the crew needs no chunk queues or backpressure.
 //!
 //! # Crews, not a resident pool
 //!
 //! The workspace forbids `unsafe`, so worker threads cannot outlive the
-//! data their packets borrow. A [`Scheduler`] is therefore a cheap,
+//! data their packets borrow. [`Crews`] is therefore a cheap,
 //! cloneable *policy* handle; each operation spins up a scoped **crew**
-//! ([`Scheduler::run`]) whose workers live exactly as long as the
+//! ([`Crews::run`]) whose workers live exactly as long as the
 //! operation. Packets may borrow anything that outlives the `run` call.
-
-pub mod fanout;
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -32,98 +29,34 @@ use std::time::{Duration, Instant};
 
 use cachegc_telemetry::{probe, Telemetry, WorkerStats};
 
-pub use fanout::PacketFanout;
-
-pub(crate) fn dur_ns(d: Duration) -> u64 {
+fn dur_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Default events buffered before a chunk is broadcast to the workers.
-///
-/// 4096 events ≈ 48 KB per chunk: large enough to amortize queue
-/// synchronization to well under a nanosecond per event, small enough to
-/// stay resident in L1/L2 while each worker replays it.
-pub const DEFAULT_CHUNK_EVENTS: usize = 4096;
-
-/// How the engine assigns sink shards to workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Schedule {
-    /// Static sharding: sink `i` lives on worker `i % jobs` for the whole
-    /// run. Lowest overhead; best when per-sink cost is uniform.
-    #[default]
-    RoundRobin,
-    /// Dynamic load balancing: idle workers claim whichever sink shard has
-    /// unconsumed chunks. Best when per-sink cost is heterogeneous.
-    WorkStealing,
-}
-
-impl Schedule {
-    /// Short name used in reports and CLI flags.
-    pub fn name(self) -> &'static str {
-        match self {
-            Schedule::RoundRobin => "round-robin",
-            Schedule::WorkStealing => "work-stealing",
-        }
-    }
-
-    /// Parse a CLI spelling (`round-robin`/`rr`, `work-stealing`/`steal`/`ws`).
-    pub fn parse(s: &str) -> Option<Schedule> {
-        match s {
-            "round-robin" | "rr" => Some(Schedule::RoundRobin),
-            "work-stealing" | "steal" | "ws" => Some(Schedule::WorkStealing),
-            _ => None,
-        }
-    }
-}
-
-/// Configuration of the packet-scheduled experiment engine: worker count,
-/// chunk granularity, and bucket policy.
+/// Configuration of the packet-scheduled experiment engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads. `1` with [`Schedule::RoundRobin`] is the sequential
-    /// oracle configuration drivers may special-case.
+    /// Worker threads that replay each pass's capture. `1` is the
+    /// sequential oracle configuration drivers may special-case.
     pub jobs: usize,
-    /// Events buffered per broadcast chunk.
-    pub chunk_events: usize,
-    /// Worker scheduling strategy.
-    pub schedule: Schedule,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig {
-            jobs: 1,
-            chunk_events: DEFAULT_CHUNK_EVENTS,
-            schedule: Schedule::RoundRobin,
-        }
+        EngineConfig { jobs: 1 }
     }
 }
 
 impl EngineConfig {
-    /// Round-robin over `jobs` workers with the default chunk size.
+    /// An engine of `jobs` workers.
     pub fn jobs(jobs: usize) -> Self {
-        EngineConfig {
-            jobs,
-            ..EngineConfig::default()
-        }
-    }
-
-    /// Same configuration with a different chunk size.
-    pub fn with_chunk(mut self, chunk_events: usize) -> Self {
-        self.chunk_events = chunk_events;
-        self
-    }
-
-    /// Same configuration with a different schedule.
-    pub fn with_schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = schedule;
-        self
+        EngineConfig { jobs }
     }
 
     /// True if this configuration buys nothing over the sequential path,
     /// so drivers should take their single-threaded oracle branch.
     pub fn is_sequential(&self) -> bool {
-        self.jobs <= 1 && self.schedule == Schedule::RoundRobin
+        self.jobs <= 1
     }
 }
 
@@ -173,15 +106,10 @@ impl Stage {
 /// honest about what they put on the queue and gives debug output a name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketKind {
-    /// A full live VM execution (a control or collected pass).
+    /// A whole pass (a control or collected run, VM and replay).
     VmExecute,
-    /// Sink work performed while a pass is being recorded into the trace
-    /// store.
-    Record,
-    /// Replaying a shard of a stored trace into its sinks.
+    /// Replaying a shard of a recorded trace into its sinks.
     ReplayShard,
-    /// Draining published chunks into a shard of instrument/cache sinks.
-    SinkDrain,
     /// A generic driver task (one item of a `Runner::map`).
     Task,
     /// Diffing one produced table against its golden counterpart.
@@ -196,9 +124,7 @@ impl PacketKind {
     pub fn name(self) -> &'static str {
         match self {
             PacketKind::VmExecute => "vm_execute",
-            PacketKind::Record => "record",
             PacketKind::ReplayShard => "replay_shard",
-            PacketKind::SinkDrain => "sink_drain",
             PacketKind::Task => "task",
             PacketKind::GoldenDiff => "golden_diff",
             PacketKind::GridSimulate => "grid_simulate",
@@ -211,7 +137,7 @@ impl PacketKind {
 /// manifest.
 #[derive(Debug, Clone, Default)]
 pub struct CrewReport {
-    /// Per-worker events/chunks/steals/idle, indexed by worker.
+    /// Per-worker events/steals/idle, indexed by worker.
     pub workers: Vec<WorkerStats>,
     /// Packets executed by the crew in total.
     pub packets: u64,
@@ -242,7 +168,7 @@ struct Queues<'env> {
 }
 
 /// A scoped worker pool executing packets for one operation. Created by
-/// [`Scheduler::run`]; submission is cheap (one lock, one notify).
+/// [`Crews::run`]; submission is cheap (one lock, one notify).
 pub struct Crew<'env> {
     q: Mutex<Queues<'env>>,
     work: Condvar,
@@ -335,7 +261,7 @@ impl<'env> Crew<'env> {
         q.deques[victim].pop_back().map(|p| (p, true))
     }
 
-    fn worker_loop(&self, i: usize, sched: &Scheduler) {
+    fn worker_loop(&self, i: usize, sched: &Crews) {
         // Give the worker its own telemetry shard (and trace-timeline row)
         // for the crew's lifetime; successive crews reuse the row by name.
         let _shard = sched
@@ -390,20 +316,20 @@ impl<'env> Crew<'env> {
 /// The scheduler handle: owns no threads, only the telemetry registry
 /// crew workers report into.
 /// Cloning is cheap; every operation materializes its own scoped crew via
-/// [`Scheduler::run`].
+/// [`Crews::run`].
 #[derive(Debug, Clone, Default)]
-pub struct Scheduler {
+pub struct Crews {
     /// When present, crew workers attach per-worker shards so counters,
     /// phases, and (if enabled) trace spans are attributed to
     /// `worker-{i}` timeline rows instead of vanishing unattached.
     telemetry: Option<Arc<Telemetry>>,
 }
 
-impl Scheduler {
+impl Crews {
     /// Same scheduler with crew workers attached to `telemetry`. Each
     /// worker holds a `worker-{i}` shard for the crew's lifetime, so
     /// packet/idle/steal spans land on stable per-worker timeline rows.
-    pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Scheduler {
+    pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Crews {
         self.telemetry = Some(telemetry);
         self
     }
@@ -438,7 +364,7 @@ mod tests {
 
     #[test]
     fn every_packet_runs_and_is_counted() {
-        let sched = Scheduler::default();
+        let sched = Crews::default();
         let hits = AtomicUsize::new(0);
         let ((), report) = sched.run(3, |crew| {
             for i in 0..64 {
@@ -459,7 +385,7 @@ mod tests {
         // One worker, packets submitted while it is blocked on a gate
         // packet: the finalize packet must run after prepare/execute even
         // though it was submitted first.
-        let sched = Scheduler::default();
+        let sched = Crews::default();
         let order = Mutex::new(Vec::new());
         let ((), _) = sched.run(1, |crew| {
             let gate = std::sync::Arc::new((Mutex::new(false), Condvar::new()));
@@ -497,12 +423,17 @@ mod tests {
     fn idle_workers_steal_from_loaded_deques() {
         // All packets pinned to worker 0's deque; with 4 workers the
         // others must steal to finish, and steals must be recorded.
-        let sched = Scheduler::default();
+        let sched = Crews::default();
         let ((), report) = sched.run(4, |crew| {
             for _ in 0..128 {
-                crew.submit(Stage::Simulate, PacketKind::SinkDrain, Some(0), move |_| {
-                    std::hint::black_box((0..512).sum::<u64>());
-                });
+                crew.submit(
+                    Stage::Simulate,
+                    PacketKind::ReplayShard,
+                    Some(0),
+                    move |_| {
+                        std::hint::black_box((0..512).sum::<u64>());
+                    },
+                );
             }
             crew.wait_idle();
         });
@@ -515,28 +446,17 @@ mod tests {
     }
 
     #[test]
-    fn schedule_and_engine_config_round_trip() {
-        assert_eq!(Schedule::parse("rr"), Some(Schedule::RoundRobin));
-        assert_eq!(Schedule::parse("ws"), Some(Schedule::WorkStealing));
-        assert_eq!(Schedule::parse("steal"), Some(Schedule::WorkStealing));
-        assert_eq!(Schedule::parse("nope"), None);
-        assert_eq!(Schedule::WorkStealing.name(), "work-stealing");
-        let e = EngineConfig::jobs(4)
-            .with_schedule(Schedule::WorkStealing)
-            .with_chunk(64);
-        assert!(!e.is_sequential());
-        assert_eq!(e.chunk_events, 64);
+    fn engine_config_is_sequential_at_one_worker() {
         assert!(EngineConfig::default().is_sequential());
-        assert!(!EngineConfig::jobs(1)
-            .with_schedule(Schedule::WorkStealing)
-            .is_sequential());
+        assert!(EngineConfig::jobs(1).is_sequential());
+        assert!(!EngineConfig::jobs(4).is_sequential());
     }
 
     #[cfg(not(cachegc_probes_off))]
     #[test]
     fn crews_record_packet_spans_on_worker_rows() {
         let tele = Arc::new(Telemetry::with_spans());
-        let sched = Scheduler::default().with_telemetry(Arc::clone(&tele));
+        let sched = Crews::default().with_telemetry(Arc::clone(&tele));
         let ((), report) = sched.run(2, |crew| {
             for i in 0..8 {
                 crew.submit(Stage::Execute, PacketKind::Task, Some(i), move |_| {
@@ -567,9 +487,7 @@ mod tests {
         }
         for k in [
             PacketKind::VmExecute,
-            PacketKind::Record,
             PacketKind::ReplayShard,
-            PacketKind::SinkDrain,
             PacketKind::Task,
             PacketKind::GoldenDiff,
             PacketKind::GridSimulate,

@@ -384,7 +384,7 @@ mod tests {
         for i in 0..n {
             rec.access(Access::write(i.wrapping_mul(0x9e37_79b9), Context::Mutator));
         }
-        rec.finish().expect("unbounded")
+        rec.finish()
     }
 
     fn tempdir(tag: &str) -> PathBuf {
@@ -494,7 +494,7 @@ mod tests {
     #[test]
     fn empty_trace_round_trips() {
         let spill = SpillDir::new(tempdir("empty"));
-        let trace = Recorder::new().finish().unwrap();
+        let trace = Recorder::new().finish();
         assert_eq!(trace.bytes(), 0);
         spill
             .write("empty@1", &trace, &RunStats::default())

@@ -36,9 +36,8 @@
 //!   resident and in-flight bytes never exceeds the budget.
 //!
 //! [`RunCtx`] bundles an [`EngineConfig`] with an optional store
-//! reference; the engine drivers in [`crate::parallel`] take it to
-//! decide, per scenario, between a live (recording) pass and a sharded
-//! replay.
+//! reference; [`crate::Runner`] takes it to decide, per scenario, whether
+//! a pass records the VM first or replays a stored capture straight away.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -93,17 +92,14 @@ pub struct StoreStats {
     /// in-flight recording, or re-materialized from a spill file).
     pub hits: u64,
     /// Lookups that found nothing (each miss triggers one live VM run).
+    /// Every miss records and offers its capture back, and a flight
+    /// cancelled without an offer takes its miss back, so `misses +
+    /// spill_loads == entries + evictions + over_budget` once every
+    /// flight has resolved.
     pub misses: u64,
-    /// Captures dropped because they would exceed the byte budget with
-    /// nothing left to evict.
+    /// Captures dropped because they outgrew the byte budget while
+    /// recording, or would exceed it with nothing left to evict.
     pub over_budget: u64,
-    /// Captures dropped because a concurrent capture of the same
-    /// scenario was stored first. Zero under single-flight
-    /// ([`TraceStore::acquire`]); the raw [`TraceStore::offer`] protocol
-    /// can still produce them. Every miss runs live and offers its
-    /// recording back, so `misses + spill_loads == entries + evictions +
-    /// over_budget + duplicates` once all offers have landed.
-    pub duplicates: u64,
     /// Scenarios currently stored.
     pub entries: u64,
     /// Encoded bytes currently resident on the heap (mapped entries
@@ -141,14 +137,13 @@ impl fmt::Display for StoreStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} hits, {} misses, {} entries ({:.1} MiB, {:.1} M events), {} over budget, {} duplicates, {} evictions ({:.1} MiB), {} spills, {} spill loads, {} coalesced",
+            "{} hits, {} misses, {} entries ({:.1} MiB, {:.1} M events), {} over budget, {} evictions ({:.1} MiB), {} spills, {} spill loads, {} coalesced",
             self.hits,
             self.misses,
             self.entries,
             self.bytes as f64 / (1 << 20) as f64,
             self.events as f64 / 1e6,
             self.over_budget,
-            self.duplicates,
             self.evictions,
             self.bytes_evicted as f64 / (1 << 20) as f64,
             self.spills,
@@ -197,11 +192,9 @@ pub enum OfferOutcome {
         /// True when the capture also wrote through to its spill file.
         spilled: bool,
     },
-    /// Dropped: the recorder overflowed its limit / budget, or keeping
+    /// Not kept: the recorder overflowed its limit / budget, or keeping
     /// the capture would exceed the byte budget with nothing evictable.
     DroppedOverBudget,
-    /// Dropped silently: a concurrent capture of the same scenario won.
-    Duplicate,
 }
 
 /// How a [`TraceStore::acquire`] hit found its trace.
@@ -470,10 +463,12 @@ impl RecordBudget for FlightCharge {
 ///
 /// Returned by [`TraceStore::acquire`] on a miss. Record the live run
 /// through [`RecordTicket::recorder`] and hand it back with
-/// [`RecordTicket::offer`]; concurrent acquires of the same scenario
-/// block until then. Dropping the ticket without offering cancels the
-/// flight (waiters wake and the first becomes the new leader), so a
-/// failed run never wedges the store.
+/// [`RecordTicket::offer`] (or [`RecordTicket::settle`], which also
+/// returns the capture); concurrent acquires of the same scenario block
+/// until then. Dropping the ticket without offering cancels the flight:
+/// its miss is taken back (nothing was recorded, so nothing arrives to
+/// balance it), and waiters wake and the first becomes the new leader,
+/// so a failed run never wedges the store.
 #[derive(Debug)]
 pub struct RecordTicket {
     shared: Arc<Shared>,
@@ -491,8 +486,8 @@ impl RecordTicket {
 
     /// A recorder whose bytes are reserved against the store's budget
     /// *while recording* — the in-flight capture can evict cold entries
-    /// to make room, and overflows (releasing every reservation) once
-    /// nothing more can be charged.
+    /// to make room, and overflows (releasing every reservation but
+    /// keeping the stream) once nothing more can be charged.
     pub fn recorder(&self) -> Recorder {
         Recorder::with_limit(self.shared.budget)
             .with_budget(self.charge.clone() as Arc<dyn RecordBudget>)
@@ -502,19 +497,32 @@ impl RecordTicket {
     /// to the scenario's encode gauge whatever the outcome). Waiters
     /// wake either way; on [`OfferOutcome::Stored`] they replay the
     /// capture, otherwise they become leaders themselves.
-    pub fn offer(
+    pub fn offer(self, recorder: Recorder, stats: RunStats, record_wall: Duration) -> OfferOutcome {
+        self.settle(recorder, stats, record_wall).1
+    }
+
+    /// [`RecordTicket::offer`], also handing back the capture whatever
+    /// the store did with it, so the recording pass can replay it. A
+    /// dropped capture is owned by the caller alone and freed with the
+    /// last clone of the returned `Arc`.
+    pub fn settle(
         mut self,
         recorder: Recorder,
         stats: RunStats,
         record_wall: Duration,
-    ) -> OfferOutcome {
+    ) -> (Arc<StoredTrace>, OfferOutcome) {
         self.done = true;
         let record_ns = u64::try_from(record_wall.as_nanos()).unwrap_or(u64::MAX);
         let shared = self.shared.clone();
-        // `finish` releases the recorder's slack; whatever the flight
-        // still holds is returned below and re-charged under the same
-        // lock, so the space cannot be stolen in between.
-        let finished = recorder.finish();
+        // `finish` releases the recorder's slack (an overflowed recorder
+        // holds no charge at all); whatever the flight still holds is
+        // returned below and re-charged under the same lock, so the space
+        // cannot be stolen in between.
+        let overflowed = recorder.overflowed();
+        let stored = Arc::new(StoredTrace {
+            trace: recorder.finish(),
+            stats,
+        });
         let mut evictions = self.charge.evictions.swap(0, Ordering::Relaxed);
         let mut bytes_evicted = self.charge.bytes_evicted.swap(0, Ordering::Relaxed);
         let mut inner = shared.lock();
@@ -526,64 +534,41 @@ impl RecordTicket {
         let still_reserved = self.charge.outstanding.swap(0, Ordering::Relaxed);
         inner.reserved = inner.reserved.saturating_sub(still_reserved);
         inner.stats.reserved = inner.reserved;
-        let mut to_spill = None;
-        let mut outcome = match finished {
-            None => {
-                inner.stats.over_budget += 1;
-                OfferOutcome::DroppedOverBudget
-            }
-            Some(trace) => {
-                // Duplicate check strictly before any budget decision: a
-                // resident scenario must never be misclassified as an
-                // over-budget drop.
-                if inner.map.contains_key(&self.key) {
-                    inner.stats.duplicates += 1;
-                    OfferOutcome::Duplicate
-                } else {
-                    let bytes = trace.bytes();
-                    let events = trace.events();
-                    let (fits, ev, bev) = inner.make_room(shared.budget, shared.evict, bytes);
-                    evictions += ev;
-                    bytes_evicted += bev;
-                    if !fits {
-                        inner.stats.over_budget += 1;
-                        OfferOutcome::DroppedOverBudget
-                    } else {
-                        let stored = Arc::new(StoredTrace { trace, stats });
-                        inner.insert_resident(
-                            self.key,
-                            &self.label,
-                            stored.clone(),
-                            bytes,
-                            events,
-                            false,
-                        );
-                        to_spill = Some(stored);
-                        OfferOutcome::Stored {
-                            bytes,
-                            events,
-                            evictions,
-                            bytes_evicted,
-                            spilled: false,
-                        }
-                    }
-                }
-            }
+        // Single-flight: nobody else records this scenario while the
+        // ticket lives, and acquire only hands out tickets for absent ones.
+        debug_assert!(
+            !inner.map.contains_key(&self.key),
+            "{} is already resident",
+            self.label
+        );
+        let bytes = stored.trace.bytes();
+        let events = stored.trace.events();
+        let fits = !overflowed && {
+            let (fits, ev, bev) = inner.make_room(shared.budget, shared.evict, bytes);
+            evictions += ev;
+            bytes_evicted += bev;
+            fits
         };
+        if fits {
+            inner.insert_resident(self.key, &self.label, stored.clone(), bytes, events, false);
+        } else {
+            inner.stats.over_budget += 1;
+        }
         inner.inflight.remove(&self.key);
         drop(inner);
         shared.flights.notify_all();
-        if let Some(stored) = to_spill {
-            let spilled = shared.write_through(&self.key, &self.label, &stored);
-            if let OfferOutcome::Stored {
-                spilled: ref mut flag,
-                ..
-            } = outcome
-            {
-                *flag = spilled;
-            }
+        if !fits {
+            return (stored, OfferOutcome::DroppedOverBudget);
         }
-        outcome
+        let spilled = shared.write_through(&self.key, &self.label, &stored);
+        let outcome = OfferOutcome::Stored {
+            bytes,
+            events,
+            evictions,
+            bytes_evicted,
+            spilled,
+        };
+        (stored, outcome)
     }
 }
 
@@ -593,9 +578,12 @@ impl Drop for RecordTicket {
             return;
         }
         // Cancelled flight (e.g. the live run failed): any recorder
-        // charge is released by the recorder's own drop; here we just
-        // re-open the scenario and wake waiters so one of them can lead.
+        // charge is released by the recorder's own drop; here we take
+        // the miss back, re-open the scenario and wake waiters so one of
+        // them can lead.
         let mut inner = self.shared.lock();
+        inner.stats.misses -= 1;
+        inner.gauges.entry(self.label.clone()).or_default().misses -= 1;
         inner.inflight.remove(&self.key);
         drop(inner);
         self.shared.flights.notify_all();
@@ -749,95 +737,10 @@ impl TraceStore {
         })
     }
 
-    /// Look up a scenario, counting a hit or a miss — the raw,
-    /// non-coalescing probe. Unlike [`TraceStore::acquire`] this never
-    /// blocks and never claims a flight; racing callers may all miss and
-    /// redundantly record (their offers dedupe as
-    /// [`OfferOutcome::Duplicate`]). Kept for tests and simple callers;
-    /// the experiment drivers use `acquire`.
-    pub fn lookup(
-        &self,
-        instance: WorkloadInstance,
-        spec: Option<CollectorSpec>,
-    ) -> Option<Arc<StoredTrace>> {
-        let mut inner = self.lock();
-        let label = scenario_label(instance, spec);
-        inner.clock += 1;
-        let now = inner.clock;
-        match inner.map.get_mut(&(instance, spec)) {
-            Some(resident) => {
-                resident.last_use = now;
-                let trace = resident.stored.clone();
-                inner.stats.hits += 1;
-                inner.gauges.entry(label).or_default().hits += 1;
-                Some(trace)
-            }
-            None => {
-                inner.stats.misses += 1;
-                inner.gauges.entry(label).or_default().misses += 1;
-                None
-            }
-        }
-    }
-
     /// Non-counting peek: is this scenario recorded? (Used for worker
     /// budgeting decisions, which should not skew hit/miss stats.)
     pub fn contains(&self, instance: WorkloadInstance, spec: Option<CollectorSpec>) -> bool {
         self.lock().map.contains_key(&(instance, spec))
-    }
-
-    /// Offer a finished recording for a scenario directly (the raw
-    /// companion to [`TraceStore::lookup`]; ticket holders use
-    /// [`RecordTicket::offer`]). The duplicate check runs strictly
-    /// before any budget accounting, so a concurrent capture of a
-    /// scenario that was stored since the caller's miss is always
-    /// counted [`OfferOutcome::Duplicate`] — never misclassified as an
-    /// over-budget drop, no matter how full the store is. Otherwise the
-    /// capture is kept if room can be made (evicting LRU entries when
-    /// enabled), and written through to the spill directory if one is
-    /// attached.
-    pub fn offer(
-        &self,
-        instance: WorkloadInstance,
-        spec: Option<CollectorSpec>,
-        recorder: Recorder,
-        stats: RunStats,
-        record_wall: Duration,
-    ) -> OfferOutcome {
-        let key = (instance, spec);
-        let record_ns = u64::try_from(record_wall.as_nanos()).unwrap_or(u64::MAX);
-        let label = scenario_label(instance, spec);
-        let Some(trace) = recorder.finish() else {
-            let mut inner = self.lock();
-            inner.stats.over_budget += 1;
-            inner.gauges.entry(label).or_default().record_ns += record_ns;
-            return OfferOutcome::DroppedOverBudget;
-        };
-        let mut inner = self.lock();
-        inner.gauges.entry(label.clone()).or_default().record_ns += record_ns;
-        if inner.map.contains_key(&key) {
-            inner.stats.duplicates += 1;
-            return OfferOutcome::Duplicate;
-        }
-        let bytes = trace.bytes();
-        let events = trace.events();
-        let (fits, evictions, bytes_evicted) =
-            inner.make_room(self.shared.budget, self.shared.evict, bytes);
-        if !fits {
-            inner.stats.over_budget += 1;
-            return OfferOutcome::DroppedOverBudget;
-        }
-        let stored = Arc::new(StoredTrace { trace, stats });
-        inner.insert_resident(key, &label, stored.clone(), bytes, events, false);
-        drop(inner);
-        let spilled = self.shared.write_through(&key, &label, &stored);
-        OfferOutcome::Stored {
-            bytes,
-            events,
-            evictions,
-            bytes_evicted,
-            spilled,
-        }
     }
 
     /// A snapshot of the accounting counters.
@@ -862,9 +765,10 @@ impl TraceStore {
 /// per-stage variants freely.
 #[derive(Debug, Clone, Copy)]
 pub struct RunCtx<'a> {
-    /// Worker count / chunking / schedule for the trace pass.
+    /// Worker count for the replay passes.
     pub engine: EngineConfig,
-    /// Scenario-keyed trace cache; `None` runs everything live.
+    /// Scenario-keyed trace cache; `None` records an ephemeral capture
+    /// on every pass.
     pub store: Option<&'a TraceStore>,
     /// Instrumentation registry the engine drivers attach probe shards
     /// to and report phases/counters into; `None` costs nothing.
@@ -879,7 +783,8 @@ pub struct RunCtx<'a> {
 }
 
 impl<'a> RunCtx<'a> {
-    /// A context with no trace store (always-live passes).
+    /// A context with no trace store (every pass records an ephemeral
+    /// capture).
     pub fn new(engine: EngineConfig) -> RunCtx<'static> {
         RunCtx {
             engine,
@@ -949,18 +854,52 @@ mod tests {
     use cachegc_trace::{Access, Context, TraceSink};
     use cachegc_workloads::Workload;
 
-    fn record(n: u32) -> (Recorder, RunStats) {
-        let mut rec = Recorder::new();
+    /// Feed `n` sequential word reads (one encoded byte each).
+    fn feed(rec: &mut Recorder, n: u32) {
         for i in 0..n {
             rec.access(Access::read(0x1000 + 4 * i, Context::Mutator));
         }
-        (rec, RunStats::default())
     }
 
-    /// Encoded size of a `record(n)` capture.
+    /// Encoded size of a `feed(n)` capture.
     fn capture_bytes(n: u32) -> u64 {
-        let (probe, _) = record(n);
+        let mut probe = Recorder::new();
+        feed(&mut probe, n);
         probe.bytes()
+    }
+
+    /// Record `n` events for `w` under `spec` through the single-flight
+    /// protocol: acquire (which must miss), record, offer.
+    fn store_capture(
+        store: &TraceStore,
+        w: WorkloadInstance,
+        spec: Option<CollectorSpec>,
+        n: u32,
+    ) -> OfferOutcome {
+        let Acquired::Miss(ticket) = store.acquire(w, spec) else {
+            panic!("{} must miss", scenario_label(w, spec));
+        };
+        let mut rec = ticket.recorder();
+        feed(&mut rec, n);
+        ticket.offer(rec, RunStats::default(), Duration::ZERO)
+    }
+
+    /// Acquire a scenario that must be resident, returning the pin.
+    fn hit(store: &TraceStore, w: WorkloadInstance) -> Arc<StoredTrace> {
+        match store.acquire(w, None) {
+            Acquired::Hit { trace, .. } => trace,
+            Acquired::Miss(_) => panic!("{} must hit", scenario_label(w, None)),
+        }
+    }
+
+    /// Events per capture in the eviction tests: large enough that one
+    /// [`cachegc_trace::CHARGE_CHUNK_BYTES`] charge is well under half a
+    /// capture, so a recording evicts only what it needs.
+    const BIG: u32 = 200_000;
+
+    /// The arrivals identity `validate_manifest` enforces.
+    fn balanced(s: &StoreStats) -> bool {
+        s.misses + s.spill_loads == s.entries + s.evictions + s.over_budget
     }
 
     fn tempdir(tag: &str) -> PathBuf {
@@ -974,24 +913,27 @@ mod tests {
     }
 
     #[test]
-    fn lookup_miss_then_offer_then_hit() {
+    fn miss_then_offer_then_hit() {
         let store = TraceStore::unbounded();
         let w = Workload::Rewrite.scaled(1);
-        assert!(store.lookup(w, None).is_none());
-        let (rec, stats) = record(100);
-        let outcome = store.offer(w, None, rec, stats, Duration::from_micros(3));
+        let Acquired::Miss(ticket) = store.acquire(w, None) else {
+            panic!("empty store must miss");
+        };
+        let mut rec = ticket.recorder();
+        feed(&mut rec, 100);
+        let outcome = ticket.offer(rec, RunStats::default(), Duration::from_micros(3));
         let OfferOutcome::Stored { bytes, events, .. } = outcome else {
             panic!("expected Stored, got {outcome:?}");
         };
         assert_eq!(events, 100);
-        let hit = store.lookup(w, None).expect("stored");
-        assert_eq!(hit.trace.events(), 100);
+        assert_eq!(hit(&store, w).trace.events(), 100);
         let s = store.stats();
         assert_eq!((s.hits, s.misses, s.entries, s.over_budget), (1, 1, 1, 0));
         assert_eq!(s.events, 100);
         assert!(s.bytes > 0 && s.bytes == bytes);
-        assert_eq!(s.peak_bytes, bytes);
-        // The per-scenario gauge tracked both lookups and the capture.
+        assert!(s.peak_bytes >= bytes, "the flight charged ahead: {s}");
+        assert_eq!(s.reserved, 0, "the flight's charge became resident bytes");
+        // The per-scenario gauge tracked both acquires and the capture.
         let gauges = store.scenario_gauges();
         assert_eq!(gauges.len(), 1);
         let (label, g) = &gauges[0];
@@ -1007,21 +949,21 @@ mod tests {
         let spec = CollectorSpec::Cheney {
             semispace_bytes: 2 << 20,
         };
-        let (rec, stats) = record(10);
-        store.offer(w.scaled(1), Some(spec), rec, stats, Duration::ZERO);
+        store_capture(&store, w.scaled(1), Some(spec), 10);
+        let before = store.stats();
         assert!(store.contains(w.scaled(1), Some(spec)));
         assert!(!store.contains(w.scaled(2), Some(spec)));
         assert!(!store.contains(w.scaled(1), None));
         // `contains` does not touch hit/miss accounting.
-        assert_eq!(store.stats().hits + store.stats().misses, 0);
+        assert_eq!(store.stats(), before);
     }
 
     #[test]
-    fn budget_overflow_falls_back_without_error() {
+    fn budget_overflow_keeps_the_capture_for_its_own_pass() {
         let store = TraceStore::with_budget(4);
         let w = Workload::Prove.scaled(1);
         // The ticket's recorder charges against the budget and overflows
-        // mid-run once nothing more can be reserved.
+        // mid-run once nothing more can be reserved, but keeps recording.
         let Acquired::Miss(ticket) = store.acquire(w, None) else {
             panic!("empty store must miss");
         };
@@ -1030,73 +972,58 @@ mod tests {
             rec.access(Access::read(i << 16, Context::Mutator));
         }
         assert!(rec.overflowed());
-        let outcome = ticket.offer(rec, RunStats::default(), Duration::from_nanos(7));
+        assert_eq!(store.stats().reserved, 0, "overflow released the charges");
+        let (capture, outcome) = ticket.settle(rec, RunStats::default(), Duration::from_nanos(7));
         assert_eq!(outcome, OfferOutcome::DroppedOverBudget);
+        assert_eq!(capture.trace.events(), 1000, "the pass keeps its stream");
         let s = store.stats();
-        assert_eq!((s.entries, s.over_budget, s.reserved), (0, 1, 0));
+        assert_eq!(
+            (s.entries, s.over_budget, s.reserved, s.bytes),
+            (0, 1, 0, 0)
+        );
         assert!(s.peak_bytes <= 4, "charges never outran the budget: {s}");
+        assert!(balanced(&s), "{s}");
         // Encode time is charged even for a dropped capture.
         let (_, g) = &store.scenario_gauges()[0];
         assert_eq!((g.record_ns, g.bytes), (7, 0));
+        // Nothing was kept, so the next pass records again.
+        assert!(matches!(store.acquire(w, None), Acquired::Miss(_)));
     }
 
     #[test]
     fn offer_rejects_when_resident_bytes_fill_budget_without_eviction() {
         let probe_bytes = capture_bytes(64);
         let store = TraceStore::with_budget(probe_bytes + probe_bytes / 2).with_evict(false);
-        let (rec, stats) = record(64);
-        store.offer(
-            Workload::Rewrite.scaled(1),
-            None,
-            rec,
-            stats,
-            Duration::ZERO,
-        );
+        store_capture(&store, Workload::Rewrite.scaled(1), None, 64);
         assert_eq!(store.stats().entries, 1);
         // Second capture individually fits, but with eviction disabled
         // the resident bytes leave no room.
-        let (rec, stats) = record(64);
-        let outcome = store.offer(Workload::Nbody.scaled(1), None, rec, stats, Duration::ZERO);
+        let outcome = store_capture(&store, Workload::Nbody.scaled(1), None, 64);
         assert_eq!(outcome, OfferOutcome::DroppedOverBudget);
         let s = store.stats();
         assert_eq!((s.entries, s.over_budget, s.evictions), (1, 1, 0));
+        assert!(balanced(&s), "{s}");
     }
 
     #[test]
-    fn duplicate_offer_is_distinguished_from_a_drop() {
-        let store = TraceStore::unbounded();
-        let w = Workload::Rewrite.scaled(1);
-        let (rec, stats) = record(8);
-        assert!(matches!(
-            store.offer(w, None, rec, stats, Duration::ZERO),
-            OfferOutcome::Stored { .. }
-        ));
-        let (rec, stats) = record(8);
-        assert_eq!(
-            store.offer(w, None, rec, stats, Duration::ZERO),
-            OfferOutcome::Duplicate
-        );
-        let s = store.stats();
-        assert_eq!((s.entries, s.over_budget), (1, 0));
-    }
-
-    #[test]
-    fn racing_duplicate_offers_near_a_full_budget_never_count_over_budget() {
-        // Regression: `offer` used to check the byte budget before the
-        // duplicate check, so with the budget sized for exactly one
-        // capture, the losing offer of a *resident* scenario was
-        // misclassified as an over-budget drop (and could warn). The
-        // duplicate check must win in every interleaving.
+    fn racing_acquires_near_a_full_budget_store_once_and_never_count_over_budget() {
+        // With the budget sized for exactly one capture, two threads race
+        // the same scenario: one records, the other coalesces onto its
+        // flight. No capture may be misclassified as over budget.
         let w = Workload::Rewrite.scaled(1);
         let budget = capture_bytes(64);
         for _ in 0..32 {
             let store = TraceStore::with_budget(budget).with_evict(false);
-            let outcomes: Vec<OfferOutcome> = std::thread::scope(|s| {
+            let outcomes: Vec<Option<OfferOutcome>> = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..2)
                     .map(|_| {
-                        s.spawn(|| {
-                            let (rec, stats) = record(64);
-                            store.offer(w, None, rec, stats, Duration::ZERO)
+                        s.spawn(|| match store.acquire(w, None) {
+                            Acquired::Hit { .. } => None,
+                            Acquired::Miss(ticket) => {
+                                let mut rec = ticket.recorder();
+                                feed(&mut rec, 64);
+                                Some(ticket.offer(rec, RunStats::default(), Duration::ZERO))
+                            }
                         })
                     })
                     .collect();
@@ -1104,20 +1031,12 @@ mod tests {
             });
             let stored = outcomes
                 .iter()
-                .filter(|o| matches!(o, OfferOutcome::Stored { .. }))
+                .filter(|o| matches!(o, Some(OfferOutcome::Stored { .. })))
                 .count();
-            let duplicates = outcomes
-                .iter()
-                .filter(|o| matches!(o, OfferOutcome::Duplicate))
-                .count();
-            assert_eq!(
-                (stored, duplicates),
-                (1, 1),
-                "exactly one capture wins, the loser is a duplicate: {outcomes:?}"
-            );
+            assert_eq!(stored, 1, "exactly one capture: {outcomes:?}");
             let s = store.stats();
-            assert_eq!(s.over_budget, 0, "no offer may be misclassified: {s}");
-            assert_eq!((s.entries, s.duplicates), (1, 1));
+            assert_eq!((s.misses, s.hits, s.over_budget), (1, 1, 0), "{s}");
+            assert!(balanced(&s), "{s}");
         }
     }
 
@@ -1141,18 +1060,7 @@ mod tests {
         let outcomes: Vec<OfferOutcome> = std::thread::scope(|s| {
             let handles: Vec<_> = scenarios
                 .iter()
-                .map(|&w| {
-                    s.spawn(move || {
-                        let Acquired::Miss(ticket) = store.acquire(w, None) else {
-                            panic!("distinct scenarios all miss");
-                        };
-                        let mut rec = ticket.recorder();
-                        for i in 0..256u32 {
-                            rec.access(Access::read(0x1000 + 4 * i, Context::Mutator));
-                        }
-                        ticket.offer(rec, RunStats::default(), Duration::ZERO)
-                    })
-                })
+                .map(|&w| s.spawn(move || store_capture(store, w, None, 256)))
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
@@ -1169,7 +1077,7 @@ mod tests {
             .count();
         assert!(stored >= 1, "the budget fits one capture: {outcomes:?}");
         assert_eq!(stored as u64, s.entries);
-        assert_eq!(s.misses, s.entries + s.over_budget + s.duplicates);
+        assert!(balanced(&s), "{s}");
     }
 
     #[test]
@@ -1183,9 +1091,7 @@ mod tests {
             panic!("empty store must miss");
         };
         let mut rec = ticket.recorder();
-        for i in 0..64u32 {
-            rec.access(Access::read(0x1000 + 4 * i, Context::Mutator));
-        }
+        feed(&mut rec, 64);
         assert!(
             !rec.overflowed(),
             "exact-budget recording must not overflow"
@@ -1197,35 +1103,29 @@ mod tests {
         assert_eq!(bytes, budget, "stored capture fills the budget exactly");
         // The budget is now exhausted and eviction is off: one more byte
         // of capture drops.
-        let (rec, stats) = record(1);
         assert_eq!(
-            store.offer(Workload::Nbody.scaled(1), None, rec, stats, Duration::ZERO),
+            store_capture(&store, Workload::Nbody.scaled(1), None, 1),
             OfferOutcome::DroppedOverBudget
         );
     }
 
     #[test]
     fn lru_evicts_the_least_recently_hit_scenario_first() {
-        // Budget for two captures; A and B stored, A hit, C offered:
-        // the un-hit B must evict first, and the accounting rebalances
-        // as misses == entries + over_budget + duplicates + evictions.
-        let one = capture_bytes(64);
+        // Budget for two captures; A and B stored, A hit, C recorded: the
+        // un-hit B must evict first, and the accounting rebalances.
+        let one = capture_bytes(BIG);
         let store = TraceStore::with_budget(2 * one + one / 2);
         let a = Workload::Rewrite.scaled(1);
         let b = Workload::Nbody.scaled(1);
         let c = Workload::Compile.scaled(1);
         for w in [a, b] {
-            assert!(store.lookup(w, None).is_none());
-            let (rec, stats) = record(64);
             assert!(matches!(
-                store.offer(w, None, rec, stats, Duration::ZERO),
+                store_capture(&store, w, None, BIG),
                 OfferOutcome::Stored { .. }
             ));
         }
-        assert!(store.lookup(a, None).is_some(), "hit A to refresh it");
-        assert!(store.lookup(c, None).is_none());
-        let (rec, stats) = record(64);
-        let outcome = store.offer(c, None, rec, stats, Duration::ZERO);
+        drop(hit(&store, a)); // refresh A
+        let outcome = store_capture(&store, c, None, BIG);
         let OfferOutcome::Stored {
             evictions,
             bytes_evicted,
@@ -1239,9 +1139,8 @@ mod tests {
         assert!(!store.contains(b, None), "un-hit B evicted first");
         assert!(store.contains(c, None));
         let s = store.stats();
-        assert_eq!(
-            s.misses,
-            s.entries + s.over_budget + s.duplicates + s.evictions,
+        assert!(
+            balanced(&s),
             "eviction rebalances the offer accounting: {s}"
         );
         assert_eq!((s.entries, s.evictions, s.bytes), (2, 1, 2 * one));
@@ -1255,32 +1154,29 @@ mod tests {
 
     #[test]
     fn pinned_entries_are_skipped_by_eviction() {
-        let one = capture_bytes(64);
+        let one = capture_bytes(BIG);
         let store = TraceStore::with_budget(2 * one + one / 2);
         let a = Workload::Rewrite.scaled(1);
         let b = Workload::Nbody.scaled(1);
         for w in [a, b] {
-            let (rec, stats) = record(64);
-            store.offer(w, None, rec, stats, Duration::ZERO);
+            store_capture(&store, w, None, BIG);
         }
         // Pin A (an in-flight replay holds the Arc), then hit B so A is
         // the LRU choice: eviction must skip pinned A and take B anyway.
-        let pin = store.lookup(a, None).expect("A resident");
-        assert!(store.lookup(b, None).is_some(), "B is now most recent");
-        let (rec, stats) = record(64);
+        let pin = hit(&store, a);
+        drop(hit(&store, b));
         let c = Workload::Compile.scaled(1);
         assert!(matches!(
-            store.offer(c, None, rec, stats, Duration::ZERO),
+            store_capture(&store, c, None, BIG),
             OfferOutcome::Stored { .. }
         ));
         assert!(store.contains(a, None), "pinned A survives");
         assert!(!store.contains(b, None), "unpinned B evicted instead");
         drop(pin);
         // With the pin gone A is evictable again.
-        let (rec, stats) = record(64);
         let d = Workload::Prove.scaled(1);
         assert!(matches!(
-            store.offer(d, None, rec, stats, Duration::ZERO),
+            store_capture(&store, d, None, BIG),
             OfferOutcome::Stored { .. }
         ));
         assert!(!store.contains(a, None), "unpinned A evicts by LRU");
@@ -1291,27 +1187,24 @@ mod tests {
         // Everything resident is pinned: a new capture has nowhere to
         // make room and must drop as over-budget, never panic or evict a
         // pinned entry out from under its replay.
-        let one = capture_bytes(64);
+        let one = capture_bytes(BIG);
         let store = TraceStore::with_budget(one + one / 2);
         let a = Workload::Rewrite.scaled(1);
-        let (rec, stats) = record(64);
-        store.offer(a, None, rec, stats, Duration::ZERO);
-        let _pin = store.lookup(a, None).expect("A resident");
-        let (rec, stats) = record(64);
+        store_capture(&store, a, None, BIG);
+        let _pin = hit(&store, a);
         assert_eq!(
-            store.offer(Workload::Nbody.scaled(1), None, rec, stats, Duration::ZERO),
+            store_capture(&store, Workload::Nbody.scaled(1), None, BIG),
             OfferOutcome::DroppedOverBudget
         );
         assert!(store.contains(a, None));
     }
 
     #[test]
-    fn concurrent_acquires_single_flight_with_zero_duplicates() {
-        // The PR 6 race: many threads race the miss -> record -> offer
-        // protocol on a handful of scenarios. Under single-flight, one
-        // thread leads each scenario and everyone else coalesces:
-        // duplicates must be exactly 0 and each scenario runs "live"
-        // exactly once.
+    fn concurrent_acquires_record_each_scenario_once() {
+        // Many threads race the miss -> record -> offer protocol on a
+        // handful of scenarios. Under single-flight, one thread leads
+        // each scenario and everyone else coalesces: each scenario runs
+        // "live" exactly once.
         let store = TraceStore::unbounded();
         let scenarios = [
             Workload::Rewrite.scaled(1),
@@ -1328,9 +1221,7 @@ mod tests {
                             }
                             Acquired::Miss(ticket) => {
                                 let mut rec = ticket.recorder();
-                                for i in 0..32u32 {
-                                    rec.access(Access::read(0x1000 + 4 * i, Context::Mutator));
-                                }
+                                feed(&mut rec, 32);
                                 ticket.offer(rec, RunStats::default(), Duration::ZERO);
                             }
                         }
@@ -1339,15 +1230,10 @@ mod tests {
             }
         });
         let st = store.stats();
-        assert_eq!(st.duplicates, 0, "single-flight leaves no duplicates: {st}");
         assert_eq!(st.misses, scenarios.len() as u64, "one live run each");
         assert_eq!(st.entries, scenarios.len() as u64);
         assert_eq!(st.over_budget, 0);
-        assert_eq!(
-            st.misses,
-            st.entries + st.over_budget + st.duplicates + st.evictions,
-            "offer outcomes must account for every miss: {st}"
-        );
+        assert!(balanced(&st), "offer outcomes account for every miss: {st}");
         assert_eq!(st.hits + st.misses, (4 * scenarios.len()) as u64);
         for w in scenarios {
             assert!(store.contains(w, None));
@@ -1373,9 +1259,7 @@ mod tests {
         // Give the waiters time to actually block on the flight.
         std::thread::sleep(Duration::from_millis(30));
         let mut rec = ticket.recorder();
-        for i in 0..16u32 {
-            rec.access(Access::read(0x2000 + 4 * i, Context::Mutator));
-        }
+        feed(&mut rec, 16);
         assert!(matches!(
             ticket.offer(rec, RunStats::default(), Duration::ZERO),
             OfferOutcome::Stored { .. }
@@ -1386,7 +1270,31 @@ mod tests {
             assert_eq!(source, HitSource::Coalesced);
         }
         let s = store.stats();
-        assert_eq!((s.misses, s.hits, s.coalesced, s.duplicates), (1, 2, 2, 0));
+        assert_eq!((s.misses, s.hits, s.coalesced), (1, 2, 2));
+    }
+
+    #[test]
+    fn a_cancelled_flight_takes_its_miss_back() {
+        // Regression: acquire counts a miss before anything is recorded,
+        // so a ticket dropped without an offer (a failed VM run) used to
+        // leave one miss with no arrival to balance it, and the run's
+        // manifest failed validation.
+        let store = TraceStore::unbounded();
+        let w = Workload::Rewrite.scaled(1);
+        let Acquired::Miss(cancelled) = store.acquire(w, None) else {
+            panic!("empty store must miss");
+        };
+        drop(cancelled);
+        assert_eq!(store.stats().misses, 0, "the cancelled miss is taken back");
+        assert!(matches!(
+            store_capture(&store, w, None, 8),
+            OfferOutcome::Stored { .. }
+        ));
+        let s = store.stats();
+        assert_eq!((s.misses, s.entries), (1, 1), "{s}");
+        assert!(balanced(&s), "{s}");
+        let (_, g) = &store.scenario_gauges()[0];
+        assert_eq!(g.misses, 1, "the gauge agrees");
     }
 
     #[test]
@@ -1400,11 +1308,9 @@ mod tests {
             let store = Arc::clone(&store);
             std::thread::spawn(move || match store.acquire(w, None) {
                 Acquired::Miss(ticket) => {
-                    let (rec, stats) = record(8);
-                    drop(rec);
                     let mut rec = ticket.recorder();
-                    rec.access(Access::read(0x30, Context::Mutator));
-                    ticket.offer(rec, stats, Duration::ZERO)
+                    feed(&mut rec, 1);
+                    ticket.offer(rec, RunStats::default(), Duration::ZERO)
                 }
                 Acquired::Hit { .. } => panic!("the first flight never offered"),
             })
@@ -1416,7 +1322,8 @@ mod tests {
             OfferOutcome::Stored { .. }
         ));
         let s = store.stats();
-        assert_eq!((s.misses, s.entries, s.duplicates), (2, 1, 0));
+        assert_eq!((s.misses, s.entries), (1, 1), "{s}");
+        assert!(balanced(&s), "{s}");
         assert!(store.contains(w, None));
     }
 
@@ -1431,9 +1338,7 @@ mod tests {
                 panic!("cold store must miss");
             };
             let mut rec = ticket.recorder();
-            for i in 0..200u32 {
-                rec.access(Access::read(0x1000 + 4 * i, Context::Mutator));
-            }
+            feed(&mut rec, 200);
             let outcome = ticket.offer(rec, RunStats::default(), Duration::ZERO);
             let OfferOutcome::Stored { spilled, .. } = outcome else {
                 panic!("capture must store, got {outcome:?}");
@@ -1473,8 +1378,9 @@ mod tests {
         std::fs::write(&seg, &full[..full.len() / 2]).unwrap();
         {
             let store = TraceStore::with_budget(1 << 20).with_spill(dir.clone());
+            let acquired = store.acquire(w, None);
             assert!(
-                matches!(store.acquire(w, None), Acquired::Miss(_)),
+                matches!(acquired, Acquired::Miss(_)),
                 "truncated file must be rejected, not replayed"
             );
             let s = store.stats();
@@ -1493,15 +1399,8 @@ mod tests {
         let a = Workload::Rewrite.scaled(1);
         let b = Workload::Nbody.scaled(1);
         for w in [a, b] {
-            let Acquired::Miss(ticket) = store.acquire(w, None) else {
-                panic!("cold miss");
-            };
-            let mut rec = ticket.recorder();
-            for i in 0..64u32 {
-                rec.access(Access::read(0x1000 + 4 * i, Context::Mutator));
-            }
             assert!(matches!(
-                ticket.offer(rec, RunStats::default(), Duration::ZERO),
+                store_capture(&store, w, None, 64),
                 OfferOutcome::Stored { .. }
             ));
         }
@@ -1514,11 +1413,7 @@ mod tests {
         assert_eq!(source, HitSource::SpillLoad);
         let s = store.stats();
         assert_eq!((s.evictions, s.spill_loads, s.spills), (1, 1, 2));
-        assert_eq!(
-            s.misses + s.spill_loads,
-            s.entries + s.evictions + s.over_budget + s.duplicates,
-            "generalized balance holds with spill loads: {s}"
-        );
+        assert!(balanced(&s), "the balance holds with spill loads: {s}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,7 +8,7 @@
 //! re-exports the primitives, so `cachegc_core::telemetry::Telemetry` is
 //! the one path experiment code needs, and adds:
 //!
-//! * [`Manifest`] — a versioned (`cachegc-manifest-v6`), machine-readable
+//! * [`Manifest`] — a versioned (`cachegc-manifest-v7`), machine-readable
 //!   record of one experiment run: configuration, merged counters, phase
 //!   timings with pause histograms, engine/worker totals, and trace-store
 //!   accounting. Serialized by [`Manifest::to_json`] (hand-rolled, like
@@ -18,7 +18,7 @@
 //!   engine drivers tick; one line per completed pass, to stderr (or an
 //!   injected writer in tests), never stdout.
 //! * [`chrome_trace_json`] — exports a snapshot's captured span records
-//!   (packet execute, steal, idle, backpressure, spill load, GC phases)
+//!   (packet execute, steal, idle, spill load, GC phases)
 //!   as Chrome trace-event JSON, loadable in Perfetto; checked by
 //!   [`validate_chrome_trace`], which `golden_check --trace` calls.
 
@@ -42,8 +42,11 @@ use crate::store::{ScenarioGauges, StoreStats, TraceStore};
 /// v5 added the timeline/span counters (`timeline_windows`,
 /// `timeline_collections`, `trace_spans`, `trace_spans_dropped`); v6
 /// dropped the two CPU-pinning counters and the batch decoder's
-/// fallback-event counter, whose code paths are gone.
-pub const MANIFEST_SCHEMA: &str = "cachegc-manifest-v6";
+/// fallback-event counter, whose code paths are gone; v7 dropped the
+/// chunk broadcast's counters (`chunks_published`, `queue_depth_hwm`,
+/// per-worker `chunks`) and the store's duplicate-offer count, for the
+/// same reason.
+pub const MANIFEST_SCHEMA: &str = "cachegc-manifest-v7";
 
 // ---------------------------------------------------------------------
 // Progress
@@ -172,7 +175,8 @@ pub struct ManifestConfig {
     /// clamping. Differs from `jobs` exactly when the request exceeded
     /// the machine.
     pub jobs_requested: usize,
-    /// Engine schedule name.
+    /// Engine label: experiment binaries write `record-replay`, the one
+    /// execution path.
     pub schedule: String,
     /// Human description of the trace-cache setting (`off`, or the byte
     /// budget).
@@ -269,15 +273,10 @@ impl Manifest {
         w.open('{');
         w.field("runs", &self.engine.runs.to_string());
         w.field(
-            "chunks_published",
-            &self.engine.chunks_published.to_string(),
-        );
-        w.field(
             "events_published",
             &self.engine.events_published.to_string(),
         );
         w.field("backpressure_ns", &self.engine.backpressure_ns.to_string());
-        w.field("queue_depth_hwm", &self.engine.queue_depth_hwm.to_string());
         w.key("by_schedule");
         w.open('{');
         for (schedule, runs) in &self.engine.by_schedule {
@@ -290,7 +289,6 @@ impl Manifest {
             w.open('{');
             w.field("runs", &worker.runs.to_string());
             w.field("events", &worker.stats.events.to_string());
-            w.field("chunks", &worker.stats.chunks.to_string());
             w.field("steals", &worker.stats.steals.to_string());
             w.field("idle_ns", &worker.stats.idle_ns.to_string());
             w.close('}');
@@ -306,7 +304,6 @@ impl Manifest {
                 w.field("misses", &store.stats.misses.to_string());
                 w.field("coalesced", &store.stats.coalesced.to_string());
                 w.field("over_budget", &store.stats.over_budget.to_string());
-                w.field("duplicates", &store.stats.duplicates.to_string());
                 w.field("entries", &store.stats.entries.to_string());
                 w.field("evictions", &store.stats.evictions.to_string());
                 w.field("bytes_evicted", &store.stats.bytes_evicted.to_string());
@@ -570,13 +567,7 @@ pub fn validate_manifest(text: &str) -> Result<(), String> {
     }
 
     let engine = root.get("engine").ok_or("manifest: missing engine")?;
-    for key in [
-        "runs",
-        "chunks_published",
-        "events_published",
-        "backpressure_ns",
-        "queue_depth_hwm",
-    ] {
+    for key in ["runs", "events_published", "backpressure_ns"] {
         engine
             .get(key)
             .and_then(Json::as_u64)
@@ -598,7 +589,7 @@ pub fn validate_manifest(text: &str) -> Result<(), String> {
         .and_then(Json::as_arr)
         .ok_or("manifest: missing engine.workers")?;
     for (i, worker) in workers.iter().enumerate() {
-        for key in ["runs", "events", "chunks", "steals", "idle_ns"] {
+        for key in ["runs", "events", "steals", "idle_ns"] {
             worker.get(key).and_then(Json::as_u64).ok_or_else(|| {
                 format!("manifest: engine.workers[{i}].{key} is not a non-negative integer")
             })?;
@@ -630,17 +621,14 @@ pub fn validate_manifest(text: &str) -> Result<(), String> {
             }
             // Offer accounting must balance: every entry now resident (or
             // since evicted) got there either from a live run — a miss
-            // whose offer stored it, was dropped over budget, or lost a
-            // duplicate race — or by re-materializing a spill file.
+            // whose offer stored it or was dropped over budget — or by
+            // re-materializing a spill file.
             let arrivals = field("misses")? + field("spill_loads")?;
-            let accounted = field("entries")?
-                + field("evictions")?
-                + field("over_budget")?
-                + field("duplicates")?;
+            let accounted = field("entries")? + field("evictions")? + field("over_budget")?;
             if arrivals != accounted {
                 return Err(format!(
                     "manifest: store offers unbalanced: misses + spill_loads = {arrivals} but \
-                     entries + evictions + over_budget + duplicates = {accounted}"
+                     entries + evictions + over_budget = {accounted}"
                 ));
             }
             let scenarios = store
@@ -810,7 +798,7 @@ mod tests {
             scale: 1,
             jobs: 2,
             jobs_requested: 2,
-            schedule: "work-stealing".into(),
+            schedule: "record-replay".into(),
             trace_cache: "4294967296".into(),
         }
     }
@@ -821,7 +809,7 @@ mod tests {
         let m = Manifest::gather(sample_config(), &telemetry.snapshot(), None);
         let json = m.to_json();
         validate_manifest(&json).unwrap();
-        assert!(json.contains("\"schema\": \"cachegc-manifest-v6\""));
+        assert!(json.contains("\"schema\": \"cachegc-manifest-v7\""));
         assert!(json.contains("\"jobs_requested\": 2"));
         assert!(json.contains("\"store\": null"));
     }
@@ -839,29 +827,26 @@ mod tests {
             drop(probe::phase_cpu("vm_execute"));
         }
         telemetry.record_engine(&EngineReport {
-            schedule: "work-stealing",
+            schedule: "replay",
             jobs: 2,
             sinks: 4,
-            chunks_published: 8,
             events_published: 640,
-            backpressure_ns: 5,
-            queue_depth_hwm: 3,
             workers: vec![WorkerStats::default(); 2],
         });
         let store = TraceStore::unbounded();
         let w = cachegc_workloads::Workload::Rewrite.scaled(1);
         // A full miss -> live run -> offer cycle, so the store's offer
         // accounting balances (validation checks the invariant).
-        store.lookup(w, None);
+        let crate::Acquired::Miss(ticket) = store.acquire(w, None) else {
+            panic!("an empty store misses");
+        };
         use cachegc_trace::TraceSink as _;
-        let mut rec = cachegc_trace::Recorder::new();
+        let mut rec = ticket.recorder();
         rec.access(cachegc_trace::Access::read(
             0x1000,
             cachegc_trace::Context::Mutator,
         ));
-        store.offer(
-            w,
-            None,
+        ticket.offer(
             rec,
             cachegc_vm::RunStats::default(),
             std::time::Duration::ZERO,
@@ -873,7 +858,8 @@ mod tests {
         assert!(json.contains("\"gc_minor\""));
         assert!(json.contains("\"events_published\": 640"));
         assert!(json.contains("\"rewrite@1\""));
-        assert!(json.contains("\"duplicates\": 0"));
+        assert!(json.contains("\"backpressure_ns\": 0"));
+        assert!(!json.contains("chunks"), "no chunk broadcast counters");
         // An unbalanced store (a miss whose offer never landed) is
         // rejected.
         let bad = json.replace("\"misses\": 1", "\"misses\": 2");
@@ -893,7 +879,7 @@ mod tests {
         let err = validate_manifest(&good).unwrap_err();
         assert!(err.contains("gc_minor"), "{err}");
         // Wrong schema, including the previous version.
-        for old in ["cachegc-manifest-v0", "cachegc-manifest-v5"] {
+        for old in ["cachegc-manifest-v0", "cachegc-manifest-v6"] {
             let bad = good.replace(MANIFEST_SCHEMA, old);
             assert!(validate_manifest(&bad).unwrap_err().contains("schema"));
         }
@@ -1002,7 +988,7 @@ mod tests {
         });
         {
             let _g = t.attach();
-            drop(probe::phase("sink_drain"));
+            drop(probe::phase("replay"));
         }
         let trace = chrome_trace_json(&t.snapshot());
         let summary = validate_chrome_trace(&trace).unwrap();

@@ -360,7 +360,7 @@ mod tests {
         for &a in &stream {
             rec.access(a);
         }
-        let trace = rec.finish().unwrap();
+        let trace = rec.finish();
         // Batched: one decode pass drives the whole grid.
         let mut batched = GridCache::new(configs.clone());
         trace.replay_batched(|b| batched.consume(b));

@@ -1,11 +1,10 @@
-//! Engine observability: what a packet-crew run reports about its
-//! workers.
+//! Engine observability: what a replay pass reports about its workers.
 //!
-//! The engine cannot use the thread-local probe shards — its workers are
-//! plain scoped threads with closures that outlive the caller — so each
-//! worker keeps a private [`WorkerStats`] and hands it back at join
-//! time. The fanout assembles one [`EngineReport`] per run and feeds
-//! it to [`Telemetry::record_engine`](crate::Telemetry::record_engine),
+//! The engine cannot use the thread-local probe shards for this — its
+//! workers are plain scoped threads with closures that outlive the
+//! caller — so each worker keeps a private [`WorkerStats`] and hands it
+//! back at join time. The driver assembles one [`EngineReport`] per pass
+//! and feeds it to [`Telemetry::record_engine`](crate::Telemetry::record_engine),
 //! which folds it into bounded [`EngineTotals`] (per-worker sums, never a
 //! per-run log, so a ten-thousand-pass sweep stays O(workers)).
 
@@ -16,14 +15,10 @@ use std::collections::BTreeMap;
 pub struct WorkerStats {
     /// Sink-events applied: every `(event, sink)` pair this worker drove.
     pub events: u64,
-    /// Chunks replayed (per sink under work-stealing, per shard under
-    /// round-robin).
-    pub chunks: u64,
-    /// Work-stealing task claims (0 under round-robin, where assignment
-    /// is static).
+    /// Packets this worker claimed from a shared bucket or a sibling's
+    /// deque rather than its own.
     pub steals: u64,
-    /// Time spent waiting for work (blocked on the channel or the steal
-    /// queue's condvar).
+    /// Time spent waiting for work on the crew's condvar.
     pub idle_ns: u64,
 }
 
@@ -31,31 +26,22 @@ impl WorkerStats {
     /// Add `other`'s counters into `self`.
     pub fn merge(&mut self, other: &WorkerStats) {
         self.events += other.events;
-        self.chunks += other.chunks;
         self.steals += other.steals;
         self.idle_ns += other.idle_ns;
     }
 }
 
-/// Everything one packet-fanout run observed about itself.
+/// Everything one replay pass observed about itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineReport {
-    /// Schedule name (`round-robin` / `work-stealing`).
+    /// Name of the path that drove the pass (the engine's is `replay`).
     pub schedule: &'static str,
     /// Worker threads in the run.
     pub jobs: usize,
     /// Sinks the run drove.
     pub sinks: usize,
-    /// Chunks the producer published.
-    pub chunks_published: u64,
-    /// Events the producer published (per-stream, not per-sink).
+    /// Events in the replayed stream (per-stream, not per-sink).
     pub events_published: u64,
-    /// Time the producer spent blocked on backpressure (full channel or
-    /// full steal window).
-    pub backpressure_ns: u64,
-    /// High-water mark of unconsumed chunks queued for any one worker
-    /// (round-robin) or in the steal window (work-stealing).
-    pub queue_depth_hwm: u64,
     /// Per-worker counters, indexed by worker id.
     pub workers: Vec<WorkerStats>,
 }
@@ -74,14 +60,12 @@ pub struct WorkerTotals {
 pub struct EngineTotals {
     /// Engine runs observed.
     pub runs: u64,
-    /// Total chunks published across runs.
-    pub chunks_published: u64,
     /// Total events published across runs.
     pub events_published: u64,
-    /// Total producer backpressure time across runs.
+    /// Time a producer spent blocked waiting for consumers. Always 0:
+    /// the engine records a pass before anything replays it, so no
+    /// producer ever waits; kept so manifest readers need not change.
     pub backpressure_ns: u64,
-    /// Maximum queue depth seen in any run.
-    pub queue_depth_hwm: u64,
     /// Runs per schedule name.
     pub by_schedule: BTreeMap<&'static str, u64>,
     /// Per-worker-slot totals; slot `i` aggregates worker `i` of every
@@ -93,10 +77,7 @@ impl EngineTotals {
     /// Fold one run's report into the totals.
     pub fn absorb(&mut self, report: &EngineReport) {
         self.runs += 1;
-        self.chunks_published += report.chunks_published;
         self.events_published += report.events_published;
-        self.backpressure_ns += report.backpressure_ns;
-        self.queue_depth_hwm = self.queue_depth_hwm.max(report.queue_depth_hwm);
         *self.by_schedule.entry(report.schedule).or_insert(0) += 1;
         if self.workers.len() < report.workers.len() {
             self.workers
@@ -120,17 +101,13 @@ mod tests {
 
     fn report(jobs: usize, events: u64) -> EngineReport {
         EngineReport {
-            schedule: "round-robin",
+            schedule: "replay",
             jobs,
             sinks: 4,
-            chunks_published: 10,
             events_published: events,
-            backpressure_ns: 5,
-            queue_depth_hwm: 3,
             workers: (0..jobs)
                 .map(|i| WorkerStats {
                     events: events * (i as u64 + 1),
-                    chunks: 10,
                     steals: 0,
                     idle_ns: 1,
                 })
@@ -144,10 +121,9 @@ mod tests {
         t.absorb(&report(2, 100));
         t.absorb(&report(3, 10));
         assert_eq!(t.runs, 2);
-        assert_eq!(t.chunks_published, 20);
         assert_eq!(t.events_published, 110);
-        assert_eq!(t.queue_depth_hwm, 3);
-        assert_eq!(t.by_schedule["round-robin"], 2);
+        assert_eq!(t.backpressure_ns, 0);
+        assert_eq!(t.by_schedule["replay"], 2);
         assert_eq!(t.workers.len(), 3);
         // Slot 0 saw both runs, slot 2 only the wider one.
         assert_eq!(t.workers[0].runs, 2);

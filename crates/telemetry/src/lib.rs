@@ -332,7 +332,7 @@ impl Telemetry {
     }
 
     /// An empty registry with timestamped span capture enabled: phase
-    /// spans and the scheduler's packet/steal/idle/backpressure probes
+    /// spans and the scheduler's packet/steal/idle probes
     /// additionally record [`SpanRecord`]s for trace export.
     pub fn with_spans() -> Telemetry {
         Telemetry {

@@ -201,15 +201,16 @@ impl EventBatch {
 
 /// A [`TraceSink`] that captures the event stream into compact segments.
 ///
-/// Feed it a run (typically as one half of a `(Recorder, real_sink)`
-/// tuple, so recording piggybacks on a live pass), then call
-/// [`Recorder::finish`] to obtain the [`RecordedTrace`].
+/// Feed it a run (the experiment engine makes it the VM's only sink),
+/// then call [`Recorder::finish`] to obtain the [`RecordedTrace`] and
+/// replay that into the real sinks.
 ///
 /// A byte limit can be set with [`Recorder::with_limit`]; once the
-/// encoded stream would exceed it, the recorder drops everything captured
-/// so far, stops encoding (subsequent events are O(1) no-ops), and
-/// `finish` returns `None`. Recording failure is thus never an error —
-/// the live sinks sharing the pass are unaffected.
+/// encoded stream would exceed it (or an attached [`RecordBudget`]
+/// refuses a charge), the recorder *overflows*: it releases every byte it
+/// charged and stops charging, but keeps recording, so the pass that
+/// owns it can still replay the whole stream. [`Recorder::overflowed`]
+/// tells the owner the capture outgrew its budget and should not be kept.
 pub struct Recorder {
     segments: Vec<Arc<[u8]>>,
     cur: Vec<u8>,
@@ -249,8 +250,8 @@ impl Recorder {
         Self::with_limit(u64::MAX)
     }
 
-    /// A recorder that gives up (and frees its buffers) once the encoded
-    /// stream would exceed `limit` bytes.
+    /// A recorder that overflows once the encoded stream would exceed
+    /// `limit` bytes.
     pub fn with_limit(limit: u64) -> Self {
         Recorder {
             segments: Vec::new(),
@@ -276,16 +277,17 @@ impl Recorder {
 
     /// Meter every buffered byte against a shared [`RecordBudget`].
     /// Charges are made ahead of buffering in [`CHARGE_CHUNK_BYTES`]
-    /// chunks; a refused charge abandons the capture exactly like a
-    /// [`Recorder::with_limit`] overflow (buffers freed, charges
-    /// released, `finish` returns `None`).
+    /// chunks; a refused charge overflows the recorder exactly like a
+    /// [`Recorder::with_limit`] overflow (charges released, the stream
+    /// kept).
     pub fn with_budget(mut self, budget: Arc<dyn RecordBudget>) -> Self {
         self.budget = Some(budget);
         self
     }
 
     /// Bytes currently reserved against the attached budget (0 when
-    /// unmetered). Always ≥ [`Recorder::bytes`] until overflow.
+    /// unmetered or overflowed). Always ≥ [`Recorder::bytes`] until
+    /// overflow.
     pub fn charged(&self) -> u64 {
         self.charged
     }
@@ -300,7 +302,8 @@ impl Recorder {
         self.events
     }
 
-    /// True once the byte limit was exceeded and the capture abandoned.
+    /// True once the byte limit or the budget was exceeded: the stream is
+    /// still whole, but no longer charged to anyone.
     pub fn overflowed(&self) -> bool {
         self.overflowed
     }
@@ -316,10 +319,7 @@ impl Recorder {
 
     fn overflow(&mut self) {
         self.overflowed = true;
-        self.segments = Vec::new();
-        self.cur = Vec::new();
-        self.sealed_bytes = 0;
-        if let Some(budget) = &self.budget {
+        if let Some(budget) = self.budget.take() {
             budget.release(self.charged);
         }
         self.charged = 0;
@@ -354,16 +354,14 @@ impl Recorder {
         false
     }
 
-    /// Consume the recorder; `Some` holds the captured stream, `None`
-    /// means the byte limit was exceeded and nothing was kept.
+    /// Consume the recorder and return the captured stream, overflowed
+    /// or not.
     ///
-    /// With a budget attached, slack (charged − encoded) is released
-    /// here; the final encoded size stays charged and its ownership
-    /// passes to the caller with the trace.
-    pub fn finish(mut self) -> Option<RecordedTrace> {
-        if self.overflowed {
-            return None;
-        }
+    /// With a budget attached and no overflow, slack (charged − encoded)
+    /// is released here; the final encoded size stays charged and its
+    /// ownership passes to the caller with the trace. An overflowed
+    /// recorder holds no charge, so its trace is nobody's to account.
+    pub fn finish(mut self) -> RecordedTrace {
         self.seal();
         let bytes = self.sealed_bytes;
         if let Some(budget) = self.budget.take() {
@@ -371,11 +369,11 @@ impl Recorder {
         }
         self.charged = 0;
         let segments = std::mem::take(&mut self.segments);
-        Some(RecordedTrace {
+        RecordedTrace {
             backing: Backing::Heap(Arc::from(segments.into_boxed_slice())),
             events: self.events,
             bytes,
-        })
+        }
     }
 }
 
@@ -392,9 +390,6 @@ impl Drop for Recorder {
 impl TraceSink for Recorder {
     #[inline]
     fn access(&mut self, a: Access) {
-        if self.overflowed {
-            return;
-        }
         let flags = flag_bits(&a);
         let changed = flags != self.flags;
         let delta = a.addr.wrapping_sub(self.prev_addr) as i32;
@@ -417,9 +412,9 @@ impl TraceSink for Recorder {
             buf[n] = flags;
             n += 1;
         }
-        if self.bytes() + n as u64 > self.limit || !self.charge_for(n as u64) {
+        if !self.overflowed && (self.bytes() + n as u64 > self.limit || !self.charge_for(n as u64))
+        {
             self.overflow();
-            return;
         }
         self.cur.extend_from_slice(&buf[..n]);
         self.prev_addr = a.addr;
@@ -657,7 +652,7 @@ mod tests {
         for &a in events {
             rec.access(a);
         }
-        let trace = rec.finish().expect("unbounded recorder never overflows");
+        let trace = rec.finish();
         let mut out = VecSink::default();
         trace.replay(&mut out);
         assert_eq!(out.0, events, "replay is event-for-event identical");
@@ -716,15 +711,24 @@ mod tests {
         assert!(trace.bytes() > 16, "multiple segments were sealed");
     }
 
+    /// 100 far-apart reads: far more than 16 encoded bytes.
+    fn jumps() -> Vec<Access> {
+        (0..100)
+            .map(|i| Access::read(i << 20, Context::Mutator))
+            .collect()
+    }
+
     #[test]
-    fn limit_overflow_drops_capture_and_stays_quiet() {
+    fn limit_overflow_keeps_the_stream_and_stays_quiet() {
         let mut rec = Recorder::with_limit(8);
-        for i in 0..100 {
-            rec.access(Access::read(i << 20, Context::Mutator));
+        for a in jumps() {
+            rec.access(a);
         }
         assert!(rec.overflowed());
-        assert_eq!(rec.bytes(), 0, "overflow frees the capture");
-        assert!(rec.finish().is_none());
+        assert!(rec.bytes() > 8, "overflow keeps recording past the limit");
+        let mut out = VecSink::default();
+        rec.finish().replay(&mut out);
+        assert_eq!(out.0, jumps(), "the overflowed stream replays whole");
     }
 
     /// A budget that tracks outstanding charges and a high-water mark.
@@ -775,7 +779,7 @@ mod tests {
             rec.access(Access::read(0x1000_0000 + 4 * i, Context::Mutator));
         }
         assert!(rec.charged() >= rec.bytes(), "charges run ahead of bytes");
-        let trace = rec.finish().expect("unbounded capture");
+        let trace = rec.finish();
         assert_eq!(
             budget.outstanding(),
             trace.bytes(),
@@ -784,15 +788,24 @@ mod tests {
     }
 
     #[test]
-    fn metered_overflow_and_drop_release_every_charge() {
+    fn metered_overflow_keeps_the_stream_and_releases_every_charge() {
         let budget = LedgerBudget::new(16);
         let mut rec = Recorder::new().with_budget(budget.clone());
-        for i in 0..100 {
-            rec.access(Access::read(i << 20, Context::Mutator));
+        for a in jumps() {
+            rec.access(a);
         }
         assert!(rec.overflowed(), "a 16-byte budget cannot hold 100 jumps");
         assert_eq!(budget.outstanding(), 0, "overflow released the charges");
-        assert!(rec.finish().is_none());
+        assert_eq!(rec.charged(), 0, "and charges nothing more");
+        let trace = rec.finish();
+        assert_eq!(
+            budget.outstanding(),
+            0,
+            "finish after overflow releases nothing"
+        );
+        let mut out = VecSink::default();
+        trace.replay(&mut out);
+        assert_eq!(out.0, jumps(), "the overflowed stream replays whole");
 
         let budget = LedgerBudget::new(u64::MAX);
         let mut rec = Recorder::new().with_budget(budget.clone());
@@ -811,7 +824,8 @@ mod tests {
         for i in 0..4u32 {
             rec.access(Access::read(0x100 + 4 * i, Context::Mutator));
         }
-        let trace = rec.finish().expect("4 small deltas fit in 8 bytes");
+        assert!(!rec.overflowed(), "4 small deltas fit in 8 bytes");
+        let trace = rec.finish();
         assert!(trace.bytes() <= 8);
         assert_eq!(budget.outstanding(), trace.bytes());
     }
@@ -865,7 +879,7 @@ mod tests {
         for &a in events {
             rec.access(a);
         }
-        let trace = rec.finish().expect("unbounded recorder never overflows");
+        let trace = rec.finish();
         let mut scalar = VecSink::default();
         trace.replay(&mut scalar);
         let mut batched = Vec::new();

@@ -4,7 +4,7 @@
 //! (workload, scale, collector) scenario run the VM at most once.
 
 use cachegc::core::{
-    run_control, CollectorSpec, EngineConfig, ExperimentConfig, Runner, Schedule, TraceStore,
+    run_control, CollectorSpec, EngineConfig, ExperimentConfig, Runner, TraceStore,
 };
 use cachegc::trace::{Access, AccessKind, Context, TraceSink};
 use cachegc::workloads::Workload;
@@ -71,10 +71,11 @@ fn replay_is_event_identical_to_live_for_every_workload_and_collector() {
     for w in Workload::ALL {
         for spec in specs() {
             let store = TraceStore::unbounded();
-            let engine = EngineConfig::jobs(2).with_schedule(Schedule::WorkStealing);
+            let engine = EngineConfig::jobs(2);
             let runner = Runner::new(engine).with_store(&store);
-            // First pass runs the VM live and records; second replays the
-            // recording through the sharded path (jobs = 2).
+            // First pass runs the VM into the recorder and replays the
+            // capture; the second replays the stored capture without the
+            // VM (jobs = 2).
             let (live_stats, live) = runner
                 .sinks(w.scaled(1), spec, vec![Fingerprint::new()])
                 .unwrap_or_else(|e| panic!("{} {spec:?}: {e}", w.name()));
@@ -115,7 +116,7 @@ fn tiny_budget_with_spill_replays_event_identical_to_live() {
     let dir = std::env::temp_dir().join(format!("cachegc_replay_spill_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let scenarios = [Workload::Rewrite.scaled(1), Workload::Nbody.scaled(1)];
-    let engine = EngineConfig::jobs(2).with_schedule(Schedule::WorkStealing);
+    let engine = EngineConfig::jobs(2);
 
     // Live oracle fingerprints, plus each capture's encoded size so the
     // budget can be pinned between "holds either" and "holds both".
@@ -164,7 +165,7 @@ fn tiny_budget_with_spill_replays_event_identical_to_live() {
     );
     assert_eq!(
         s.misses + s.spill_loads,
-        s.entries + s.evictions + s.over_budget + s.duplicates,
+        s.entries + s.evictions + s.over_budget,
         "store arrivals balance: {s}"
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -178,7 +179,7 @@ fn restarted_store_warm_starts_from_spilled_segments() {
     let dir = std::env::temp_dir().join(format!("cachegc_replay_restart_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let w = Workload::Compile.scaled(1);
-    let engine = EngineConfig::jobs(2).with_schedule(Schedule::WorkStealing);
+    let engine = EngineConfig::jobs(2);
 
     let first = TraceStore::unbounded().with_spill(dir.clone());
     let runner = Runner::new(engine).with_store(&first);

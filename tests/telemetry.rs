@@ -1,7 +1,7 @@
 //! Telemetry integration tests: the instrumentation must be *invisible*
 //! to every result — identical simulator statistics with probes on or
-//! off, on every driver path (live, record, replay), both schedules, one
-//! worker and several — while the merged counters agree with the
+//! off, on every driver path (ephemeral, record, replay), one worker and
+//! several — while the merged counters agree with the
 //! [`RunStats`](cachegc::vm::RunStats) oracle the VM returns anyway.
 
 use std::io::Write;
@@ -9,11 +9,12 @@ use std::sync::{Arc, Mutex};
 
 use cachegc::core::{
     validate_manifest, CollectorSpec, EngineConfig, Manifest, ManifestConfig, Progress, Runner,
-    Schedule, Telemetry, TraceStore,
+    Telemetry, TraceStore,
 };
+use cachegc::gc::CheneyCollector;
 use cachegc::sim::{Cache, CacheConfig};
 use cachegc::telemetry::Counter;
-use cachegc::trace::RefCounter;
+use cachegc::trace::{Fanout, RefCounter};
 use cachegc::workloads::Workload;
 
 fn grid() -> Vec<Cache> {
@@ -29,8 +30,8 @@ fn spec() -> Option<CollectorSpec> {
     })
 }
 
-/// Run the live (no store), record (store miss), and replay (store hit)
-/// paths in order and return every cache's statistics.
+/// Run the ephemeral (no store), record (store miss), and replay (store
+/// hit) paths in order and return every cache's statistics.
 fn three_paths(
     engine: EngineConfig,
     telemetry: Option<&Arc<Telemetry>>,
@@ -58,24 +59,19 @@ fn three_paths(
 fn telemetry_is_invisible_to_results() {
     let oracle = three_paths(EngineConfig::jobs(1), None);
     assert!(oracle[0].fetches() > 0, "the workload touched the caches");
-    for schedule in [Schedule::RoundRobin, Schedule::WorkStealing] {
-        for jobs in [1, 3] {
-            let engine = EngineConfig::jobs(jobs).with_schedule(schedule);
-            let telemetry = Arc::new(Telemetry::new());
-            let with = three_paths(engine, Some(&telemetry));
-            // Equality with the probe-free sequential oracle is the
-            // on/off identity and the engine determinism property at
-            // once (the engine is bit-identical to the oracle by the
-            // properties in tests/properties.rs).
-            assert_eq!(
-                with, oracle,
-                "telemetry perturbed results at jobs {jobs}, {schedule:?}"
-            );
-            // The instrumented run actually observed something.
-            let snap = telemetry.snapshot();
-            assert_eq!(snap.counter(Counter::VmRuns), 2, "live + record");
-            assert!(snap.engine.runs > 0, "engine block populated");
-        }
+    for jobs in [1, 2, 3] {
+        let telemetry = Arc::new(Telemetry::new());
+        let with = three_paths(EngineConfig::jobs(jobs), Some(&telemetry));
+        // Equality with the probe-free sequential oracle is the on/off
+        // identity and the engine determinism property at once (the
+        // engine is bit-identical to the oracle by the properties in
+        // tests/properties.rs).
+        assert_eq!(with, oracle, "telemetry perturbed results at jobs {jobs}");
+        // The instrumented run actually observed something.
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.counter(Counter::VmRuns), 2, "ephemeral + record");
+        assert_eq!(snap.engine.runs, 3, "every pass replayed");
+        assert_eq!(snap.engine.backpressure_ns, 0, "nothing streams live");
     }
 }
 
@@ -84,8 +80,7 @@ fn merged_counters_match_the_run_stats_oracle() {
     let w = Workload::Rewrite.scaled(1);
     let telemetry = Arc::new(Telemetry::new());
     let store = TraceStore::unbounded();
-    let engine = EngineConfig::jobs(3).with_schedule(Schedule::WorkStealing);
-    let runner = Runner::new(engine)
+    let runner = Runner::new(EngineConfig::jobs(3))
         .with_store(&store)
         .with_telemetry(&telemetry);
 
@@ -135,9 +130,9 @@ fn merged_counters_match_the_run_stats_oracle() {
     assert_eq!(snap.engine.runs, 2);
     assert_eq!(snap.engine.events_applied(), events * 3 + events);
 
-    // Phases: one of each driver span.
-    for phase in ["vm_execute", "record", "replay", "sink_drain"] {
-        assert_eq!(snap.phase(phase).unwrap().count, 1, "{phase}");
+    // Phases: one VM run, recorded, and a replay for each pass.
+    for (phase, count) in [("vm_execute", 1), ("record", 1), ("replay", 2)] {
+        assert_eq!(snap.phase(phase).unwrap().count, count, "{phase}");
     }
 }
 
@@ -204,7 +199,7 @@ fn a_real_runs_manifest_validates_end_to_end() {
             scale: 1,
             jobs: 2,
             jobs_requested: 2,
-            schedule: "round-robin".into(),
+            schedule: "record-replay".into(),
             trace_cache: "unbounded".into(),
         },
         &telemetry.snapshot(),
@@ -223,7 +218,7 @@ fn spill_and_eviction_counters_flow_into_a_valid_manifest() {
     let dir = std::env::temp_dir().join(format!("cachegc_tm_spill_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let scenarios = [Workload::Rewrite.scaled(1), Workload::Nbody.scaled(1)];
-    let engine = EngineConfig::jobs(2).with_schedule(Schedule::WorkStealing);
+    let engine = EngineConfig::jobs(2);
 
     // Size the budget between "holds either capture" and "holds both".
     let sizing = TraceStore::unbounded();
@@ -263,7 +258,7 @@ fn spill_and_eviction_counters_flow_into_a_valid_manifest() {
             scale: 1,
             jobs: 2,
             jobs_requested: 2,
-            schedule: "work-stealing".into(),
+            schedule: "record-replay".into(),
             trace_cache: format!("{budget} bytes, spill {}", dir.display()),
         },
         &telemetry.snapshot(),
@@ -289,7 +284,7 @@ fn spill_and_eviction_counters_flow_into_a_valid_manifest() {
             scale: 1,
             jobs: 2,
             jobs_requested: 2,
-            schedule: "work-stealing".into(),
+            schedule: "record-replay".into(),
             trace_cache: format!("{budget} bytes, spill {}", dir.display()),
         },
         &warm_telemetry.snapshot(),
@@ -307,12 +302,22 @@ fn over_budget_captures_warn_and_count() {
     let runner = Runner::new(EngineConfig::jobs(1))
         .with_store(&store)
         .with_telemetry(&telemetry);
-    runner.sinks(w, spec(), grid()).unwrap();
+    let (_, caches) = runner.sinks(w, spec(), grid()).unwrap();
 
     let snap = telemetry.snapshot();
     assert_eq!(snap.counter(Counter::StoreCapturesDropped), 1);
     assert_eq!(snap.counter(Counter::Warnings), 1);
     assert_eq!(snap.counter(Counter::StoreRecordedBytes), 0);
-    assert_eq!(store.stats().over_budget, 1);
-    assert_eq!(store.stats().entries, 0);
+    let s = store.stats();
+    assert_eq!((s.over_budget, s.entries, s.reserved), (1, 0, 0));
+    // The pass replayed its own over-budget capture: the caches match the
+    // VM driving them directly.
+    let live = w
+        .run(CheneyCollector::new(1 << 20), Fanout::new(grid()))
+        .unwrap()
+        .sink
+        .into_sinks();
+    for (got, want) in caches.iter().zip(&live) {
+        assert_eq!(got.stats(), want.stats());
+    }
 }
