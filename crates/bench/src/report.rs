@@ -6,10 +6,14 @@
 //! throughput — so successive PRs can track how fast the paper-scale
 //! experiment engine is without re-parsing human-readable tables; the
 //! `trace_replay` bench records live-VM vs replay event rates the same
-//! way. The JSON is written by hand (no serde in the hermetic build).
+//! way. Both records carry the host's core count (`host_cores`), since
+//! throughputs from hosts with different core counts are not comparable.
+//! The JSON is written by hand (no serde in the hermetic build).
 
 use std::fmt::Write as _;
 use std::time::Duration;
+
+use cachegc_core::default_jobs;
 
 /// One workload's pass through the cache grid.
 #[derive(Debug, Clone)]
@@ -54,6 +58,7 @@ impl GridReport {
         s.push_str("{\n");
         let _ = writeln!(s, "  \"schema\": \"cachegc-bench-grid-v1\",");
         let _ = writeln!(s, "  \"binary\": {},", json_str(&self.binary));
+        let _ = writeln!(s, "  \"host_cores\": {},", default_jobs());
         let _ = writeln!(s, "  \"jobs\": {},", self.jobs);
         let _ = writeln!(
             s,
@@ -204,6 +209,7 @@ impl ReplayReport {
         let mut s = String::new();
         s.push_str("{\n");
         let _ = writeln!(s, "  \"schema\": \"cachegc-bench-replay-v2\",");
+        let _ = writeln!(s, "  \"host_cores\": {},", default_jobs());
         s.push_str("  \"baseline_v1\": [\n");
         for (i, b) in self.baseline_v1.iter().enumerate() {
             let _ = write!(
@@ -385,6 +391,7 @@ mod tests {
         assert!(json.contains("\"schema\": \"cachegc-bench-grid-v1\""));
         assert!(json.contains("\"binary\": \"e3_overhead_sweep\""));
         assert!(json.contains("\"jobs\": 8"));
+        assert!(json.contains(&format!("\"host_cores\": {},", default_jobs())));
         assert!(json.contains("\"workload\": \"compile\""));
         assert!(json.contains("\"cells\": 40"));
         // 1M events × 40 cells / 0.5 s = 80M cell-events/s.
@@ -418,6 +425,7 @@ mod tests {
         };
         let json = report.to_json();
         assert!(json.contains("\"schema\": \"cachegc-bench-replay-v2\""));
+        assert!(json.contains(&format!("\"host_cores\": {},", default_jobs())));
         assert!(json.contains("\"workload\": \"rewrite\""));
         assert!(json.contains("\"bytes_per_event\": 1.500"));
         assert!(json.contains("\"speedup\": 5.00"));

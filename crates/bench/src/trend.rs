@@ -10,6 +10,8 @@
 //! the parent commit), prints the per-row throughput deltas so the
 //! change is visible at review time. Deltas are *reported*, not gated:
 //! CI machines are too noisy for hard thresholds, reviewers are not.
+//! A throughput delta between records from hosts with different core
+//! counts (or a record that does not say) is labelled "not comparable".
 
 use cachegc_core::json::{self, Json};
 
@@ -115,6 +117,28 @@ fn num(row: &Json, key: &str) -> f64 {
     row.get(key).and_then(Json::as_f64).unwrap_or(0.0)
 }
 
+/// The host core count a record declares, if it declares one.
+fn host_cores(doc: &Json) -> Option<u64> {
+    doc.get("host_cores").and_then(Json::as_u64)
+}
+
+fn cores(n: Option<u64>) -> String {
+    n.map_or_else(|| "?".into(), |n| n.to_string())
+}
+
+/// Nothing when `now` and `was` came from hosts with the same known core
+/// count; otherwise a "not comparable" note naming both counts.
+fn comparable(now: Option<u64>, was: Option<u64>) -> String {
+    match (now, was) {
+        (Some(a), Some(b)) if a == b => String::new(),
+        _ => format!(
+            ", not comparable: host cores {} vs {}",
+            cores(was),
+            cores(now)
+        ),
+    }
+}
+
 /// Find the row in `rows` matching `row`'s workload and scale.
 fn matching<'a>(rows: Option<&'a [Json]>, row: &Json) -> Option<&'a Json> {
     let key = |r: &Json| {
@@ -130,10 +154,12 @@ fn matching<'a>(rows: Option<&'a [Json]>, row: &Json) -> Option<&'a Json> {
 fn grid_lines(doc: &Json, prev: Option<&Json>) -> Vec<String> {
     let runs = doc.get("runs").and_then(Json::as_arr).unwrap_or(&[]);
     let prev_runs = prev.and_then(|p| p.get("runs")).and_then(Json::as_arr);
+    let note = comparable(host_cores(doc), prev.and_then(host_cores));
     let mut out = vec![format!(
-        "grid: {} runs, jobs {}, {:.1}s total",
+        "grid: {} runs, jobs {}, host cores {}, {:.1}s total",
         runs.len(),
         doc.get("jobs").and_then(Json::as_u64).unwrap_or(0),
+        cores(host_cores(doc)),
         num(doc, "total_wall_secs"),
     )];
     for r in runs {
@@ -141,7 +167,12 @@ fn grid_lines(doc: &Json, prev: Option<&Json>) -> Vec<String> {
         let delta = match matching(prev_runs, r) {
             Some(p) => {
                 let was = num(p, "cell_events_per_sec");
-                format!("{} (prev {}, {})", rate(now), rate(was), pct(now, was))
+                format!(
+                    "{} (prev {}, {}{note})",
+                    rate(now),
+                    rate(was),
+                    pct(now, was)
+                )
             }
             None => format!("{} (no previous row)", rate(now)),
         };
@@ -158,18 +189,29 @@ fn replay_lines(doc: &Json, prev: Option<&Json>) -> Vec<String> {
     let runs = doc.get("runs").and_then(Json::as_arr).unwrap_or(&[]);
     // Previous revision when CI has one; the file's own carried-forward
     // v1 trajectory otherwise, so a lone file still reports a delta.
-    let (prev_runs, against) = match prev.and_then(|p| p.get("runs")).and_then(Json::as_arr) {
-        Some(rows) => (Some(rows), "prev"),
-        None => (doc.get("baseline_v1").and_then(Json::as_arr), "v1 baseline"),
-    };
-    let mut out = vec![format!("replay: {} runs (vs {against})", runs.len())];
+    // The v1 baseline predates the core count, so it never compares.
+    let (prev_runs, against, was_cores) =
+        match prev.and_then(|p| p.get("runs")).and_then(Json::as_arr) {
+            Some(rows) => (Some(rows), "prev", prev.and_then(host_cores)),
+            None => (
+                doc.get("baseline_v1").and_then(Json::as_arr),
+                "v1 baseline",
+                None,
+            ),
+        };
+    let note = comparable(host_cores(doc), was_cores);
+    let mut out = vec![format!(
+        "replay: {} runs, host cores {} (vs {against})",
+        runs.len(),
+        cores(host_cores(doc)),
+    )];
     for r in runs {
         let now = num(r, "replay_events_per_sec");
         let line = match matching(prev_runs, r) {
             Some(p) => {
                 let was = num(p, "replay_events_per_sec");
                 format!(
-                    "{} ({} {}, {})",
+                    "{} ({} {}, {}{note})",
                     rate(now),
                     against,
                     rate(was),
@@ -228,6 +270,50 @@ mod tests {
         // Without a previous revision the row still prints.
         let solo = trend(BenchKind::Grid, GRID, None).unwrap();
         assert!(solo[1].contains("no previous row"));
+    }
+
+    #[test]
+    fn grid_header_names_the_cores_and_equal_cores_compare() {
+        let now = GRID.replace("\"jobs\": 4,", "\"jobs\": 4, \"host_cores\": 2,");
+        let prev = now.replace("50000000.0", "40000000.0");
+        let lines = trend(BenchKind::Grid, &now, Some(&prev)).unwrap();
+        assert!(lines[0].contains("host cores 2"), "{}", lines[0]);
+        assert!(lines[1].contains("+25.0%)"), "{}", lines[1]);
+        assert!(!lines[1].contains("not comparable"), "{}", lines[1]);
+    }
+
+    #[test]
+    fn deltas_across_core_counts_are_not_comparable() {
+        let now = GRID.replace("\"jobs\": 4,", "\"jobs\": 4, \"host_cores\": 2,");
+        // A previous revision from a one-core host.
+        let one = GRID.replace("\"jobs\": 4,", "\"jobs\": 4, \"host_cores\": 1,");
+        let lines = trend(BenchKind::Grid, &now, Some(&one)).unwrap();
+        assert!(
+            lines[1].contains("+0.0%, not comparable: host cores 1 vs 2"),
+            "{}",
+            lines[1]
+        );
+        // A previous revision that predates the field.
+        let lines = trend(BenchKind::Grid, &now, Some(GRID)).unwrap();
+        assert!(
+            lines[1].contains("not comparable: host cores ? vs 2"),
+            "{}",
+            lines[1]
+        );
+        // The replay record labels its rows the same way.
+        let replay = |cores: &str| {
+            format!(
+                r#"{{"schema": "cachegc-bench-replay-v2", {cores}
+  "runs": [{{"workload": "compile", "scale": 1,
+            "replay_events_per_sec": 100000000.0}}]}}"#
+            )
+        };
+        let (now, prev) = (replay("\"host_cores\": 2,"), replay("\"host_cores\": 1,"));
+        let lines = trend(BenchKind::Replay, &now, Some(&prev)).unwrap();
+        assert!(lines[0].contains("host cores 2"), "{}", lines[0]);
+        assert!(lines[1].contains("not comparable: host cores 1 vs 2"));
+        let lines = trend(BenchKind::Replay, &now, Some(&now)).unwrap();
+        assert!(!lines[1].contains("not comparable"), "{}", lines[1]);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use cachegc_gc::{
     NoCollector,
 };
 use cachegc_sim::{
-    miss_penalty_cycles, Cache, CacheConfig, CacheStats, MainMemory, Processor, WriteMissPolicy,
+    miss_penalty_cycles, Cache, CacheConfig, CacheTotals, MainMemory, Processor, WriteMissPolicy,
 };
 use cachegc_trace::{Context, Fanout};
 use cachegc_vm::VmError;
@@ -84,8 +84,9 @@ impl ExperimentConfig {
 pub struct CacheCell {
     /// The configuration.
     pub config: CacheConfig,
-    /// Full simulation statistics (per-block counters included).
-    pub stats: CacheStats,
+    /// The cache's aggregate counters. A §5 cell carries no per-block
+    /// data; the §7 instruments that need it wrap a [`Cache`].
+    pub stats: CacheTotals,
 }
 
 /// The §5 control experiment: one workload, collection disabled, the whole
@@ -140,12 +141,12 @@ pub fn run_control(
 }
 
 /// Finish a `Vec<Cache>` sink set into grid cells, preserving order.
-pub(crate) fn cache_cells(caches: Vec<Cache>) -> Vec<CacheCell> {
+fn cache_cells(caches: Vec<Cache>) -> Vec<CacheCell> {
     caches
         .into_iter()
         .map(|c| CacheCell {
             config: *c.config(),
-            stats: c.into_stats(),
+            stats: c.stats().totals(),
         })
         .collect()
 }
@@ -242,8 +243,8 @@ pub struct CollectedCell {
     pub m_prog: u64,
     /// Collector fetches (`M_gc`).
     pub m_gc: u64,
-    /// Full statistics.
-    pub stats: CacheStats,
+    /// The cache's aggregate counters.
+    pub stats: CacheTotals,
 }
 
 /// A workload run under a collector, against the grid.

@@ -39,7 +39,7 @@ use cachegc_analysis::Instrument;
 use cachegc_gc::{
     CheneyCollector, GenerationalCollector, ImmixCollector, MarkSweepCollector, NoCollector,
 };
-use cachegc_sim::{CacheConfig, CacheStats, GridCache};
+use cachegc_sim::{CacheConfig, CacheTotals, GridCache};
 use cachegc_telemetry::{probe, Counter, EngineReport, Telemetry, WorkerStats};
 use cachegc_trace::{Fanout, RecordedTrace, Recorder, TraceSink};
 use cachegc_vm::{RunStats, VmError};
@@ -481,7 +481,7 @@ impl<'a> Runner<'a> {
                 .collect::<Vec<_>>();
             (cells, batches)
         } else {
-            type GridSlot = Mutex<Option<(Vec<usize>, Vec<(CacheConfig, CacheStats)>, u64)>>;
+            type GridSlot = Mutex<Option<(Vec<usize>, Vec<(CacheConfig, CacheTotals)>, u64)>>;
             let slots: Vec<GridSlot> = (0..jobs).map(|_| Mutex::new(None)).collect();
             let ((), report) = self.sched.run(jobs, |crew| {
                 for (j, shard) in deal(configs, jobs).into_iter().enumerate() {

@@ -31,8 +31,8 @@ pub enum WriteHitPolicy {
 pub struct CacheConfig {
     /// Total capacity in bytes. Must be a power of two.
     pub size: u32,
-    /// Block (line) size in bytes: 16–256, a power of two. The fetch size
-    /// equals the block size (§4).
+    /// Block (line) size in bytes: a power of two from 8 to 256 (the paper
+    /// studies 16–256). The fetch size equals the block size (§4).
     pub block: u32,
     /// Associativity; 1 for the direct-mapped caches the paper studies.
     pub assoc: u32,
@@ -49,7 +49,7 @@ impl CacheConfig {
     /// # Panics
     ///
     /// Panics if `size` or `block` is not a power of two, if `block` is
-    /// outside 8..=1024 bytes, or if `block > size`.
+    /// outside 8..=256 bytes, or if `block > size`.
     pub fn direct_mapped(size: u32, block: u32) -> Self {
         let cfg = CacheConfig {
             size,
@@ -97,7 +97,8 @@ impl CacheConfig {
             self.block.is_power_of_two(),
             "block size must be a power of two"
         );
-        assert!((8..=1024).contains(&self.block), "block size out of range");
+        // The per-word valid and dirty bitmaps are `u64`: 64 words, 256 B.
+        assert!((8..=256).contains(&self.block), "block size out of range");
         assert!(self.block <= self.size, "block larger than cache");
     }
 
@@ -158,6 +159,13 @@ mod tests {
     #[should_panic(expected = "block size out of range")]
     fn rejects_tiny_blocks() {
         CacheConfig::direct_mapped(64 * 1024, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "block size out of range")]
+    fn rejects_blocks_wider_than_the_valid_bitmap() {
+        // 128 words would overflow the 64-bit per-word valid bitmap.
+        CacheConfig::direct_mapped(4 * 1024, 512);
     }
 
     #[test]

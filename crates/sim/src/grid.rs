@@ -10,17 +10,23 @@
 //! grid, and each lane's precomputed geometry stays in registers across a
 //! whole [`EventBatch`].
 //!
-//! Bit-identity is the bar: every lane replicates
-//! [`Cache::access_classified`] exactly — same state transitions, same
-//! statistics counters in the same order — which the differential tests
-//! below check against K independent [`Cache`] oracles for every
+//! A lane does only the work that differs between lanes. It replicates
+//! [`Cache::access_classified`]'s state transitions exactly, but counts
+//! only miss-side events (fetch kinds, fetches by context, allocation
+//! misses, writebacks), so a hit touches no counter. References by
+//! context and kind are the same for every lane: the grid counts them
+//! once per event, and a write-through lane's `write_through_words` is
+//! that shared write count. Per-block counters are not kept at all — the
+//! §7 instruments that need them wrap [`Cache`]. Each lane's result is a
+//! [`CacheTotals`], which the differential tests below check against
+//! `Cache::stats().totals()` of K independent [`Cache`] oracles for every
 //! write-hit × write-miss policy combination.
 
-use cachegc_trace::{Access, EventBatch, TraceSink};
+use cachegc_trace::{Access, Context, EventBatch, TraceSink};
 
 use crate::cache::Cache;
 use crate::config::{CacheConfig, WriteHitPolicy, WriteMissPolicy};
-use crate::stats::CacheStats;
+use crate::stats::CacheTotals;
 
 const EMPTY: u32 = u32::MAX;
 
@@ -34,7 +40,7 @@ struct BlockState {
 }
 
 /// One configuration's lane: precomputed geometry, policy flags, the
-/// lane's window into the shared arena, and its statistics.
+/// lane's window into the shared arena, and its miss-side counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Lane {
     cfg: CacheConfig,
@@ -47,20 +53,25 @@ struct Lane {
     fetch_on_write: bool,
     /// First arena slot of this lane's blocks.
     base: usize,
-    stats: CacheStats,
+    /// Miss-side counters only; the reference and write-through fields
+    /// stay zero and are filled from the grid's shared counts on readout.
+    misses: CacheTotals,
 }
 
 /// K direct-mapped caches simulated in lockstep over one event stream.
 ///
-/// Behaves exactly like a `Vec<Cache>` fanout — per-lane statistics are
-/// bit-identical — but consumes the stream once per *batch* instead of
-/// once per `(event, cache)` pair, with all lane state (tag, valid and
-/// dirty bitmaps) in one shared flat arena of per-block records.
+/// Each lane's [`CacheTotals`] equal `Cache::stats().totals()` of a
+/// `Vec<Cache>` fanout, but the grid consumes the stream once per *batch*
+/// instead of once per `(event, cache)` pair, with all lane state (tag,
+/// valid and dirty bitmaps) in one shared flat arena of per-block records
+/// and the reference counts kept once for all lanes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridCache {
     lanes: Vec<Lane>,
     blocks: Vec<BlockState>,
-    events: u64,
+    /// References by context and kind, shared by every lane; only the
+    /// four reference fields are used.
+    refs: CacheTotals,
 }
 
 impl GridCache {
@@ -92,7 +103,7 @@ impl GridCache {
                 write_back: cfg.write_hit == WriteHitPolicy::WriteBack,
                 fetch_on_write: cfg.write_miss == WriteMissPolicy::FetchOnWrite,
                 base: total,
-                stats: CacheStats::new(cfg.num_blocks()),
+                misses: CacheTotals::default(),
             });
             total += cfg.num_blocks() as usize;
         }
@@ -106,7 +117,7 @@ impl GridCache {
                 };
                 total
             ],
-            events: 0,
+            refs: CacheTotals::default(),
         }
     }
 
@@ -122,13 +133,13 @@ impl GridCache {
 
     /// Events consumed so far.
     pub fn events(&self) -> u64 {
-        self.events
+        self.refs.refs()
     }
 
     /// `(config, event)` cell updates performed so far — the grid-kernel
     /// work metric (`events × lanes`).
     pub fn cells_simulated(&self) -> u64 {
-        self.events * self.lanes.len() as u64
+        self.events() * self.lanes.len() as u64
     }
 
     /// The configurations, in lane order.
@@ -136,32 +147,61 @@ impl GridCache {
         self.lanes.iter().map(|l| l.cfg).collect()
     }
 
-    /// One lane's accumulated statistics.
+    /// One lane's accumulated counters: its own miss-side counts plus the
+    /// shared reference counts, and for a write-through lane the shared
+    /// write count as `write_through_words`.
     ///
     /// # Panics
     ///
     /// Panics if `lane >= self.len()`.
-    pub fn stats(&self, lane: usize) -> &CacheStats {
-        &self.lanes[lane].stats
+    pub fn stats(&self, lane: usize) -> CacheTotals {
+        let lane = &self.lanes[lane];
+        let mut totals = lane.misses.add(&self.refs);
+        if !lane.write_back {
+            totals.write_through_words = self.refs.writes();
+        }
+        totals
     }
 
-    /// Consume the grid, returning `(config, stats)` per lane in order.
-    pub fn into_cells(self) -> Vec<(CacheConfig, CacheStats)> {
-        self.lanes.into_iter().map(|l| (l.cfg, l.stats)).collect()
+    /// Consume the grid, returning `(config, counters)` per lane in order.
+    pub fn into_cells(self) -> Vec<(CacheConfig, CacheTotals)> {
+        (0..self.lanes.len())
+            .map(|i| (self.lanes[i].cfg, self.stats(i)))
+            .collect()
+    }
+
+    /// Count one reference in the shared counters.
+    #[inline]
+    fn tally_ref(refs: &mut CacheTotals, a: Access) {
+        match (a.ctx, a.is_read()) {
+            (Context::Mutator, true) => refs.mutator_reads += 1,
+            (Context::Mutator, false) => refs.mutator_writes += 1,
+            (Context::Collector, true) => refs.collector_reads += 1,
+            (Context::Collector, false) => refs.collector_writes += 1,
+        }
+    }
+
+    /// Count one block fetch in a lane, attributed to `ctx`.
+    #[inline]
+    fn tally_fetch(misses: &mut CacheTotals, ctx: Context) {
+        match ctx {
+            Context::Mutator => misses.mutator_fetches += 1,
+            Context::Collector => misses.collector_fetches += 1,
+        }
     }
 
     /// Simulate one access in `lane`, whose block window is `blocks`
     /// (a power-of-two-length slice, so the mask derived from its length
     /// provably bounds the index). Replicates
-    /// [`Cache::access_classified`] exactly: same transitions, same
-    /// counters, same order.
+    /// [`Cache::access_classified`]'s transitions and its miss-side
+    /// counters; references are counted by the caller, once for all lanes.
     #[inline]
     fn step(lane: &mut Lane, blocks: &mut [BlockState], a: Access) {
         let rel = ((a.addr >> lane.offset_bits) as usize) & (blocks.len() - 1);
         let blk = &mut blocks[rel];
         let tag = a.addr >> lane.offset_bits >> lane.index_bits;
         let bit = 1u64 << ((a.addr & lane.block_mask) >> 2);
-        lane.stats.count_ref(a.ctx, a.is_read(), rel);
+        let misses = &mut lane.misses;
 
         if a.is_read() {
             if blk.tag == tag {
@@ -170,25 +210,20 @@ impl GridCache {
                 }
                 // Present tag, invalid word: sub-block fill of the rest.
                 blk.valid = lane.full_mask;
-                lane.stats.count_partial_fill();
-                lane.stats.count_fetch(a.ctx);
-                lane.stats.count_block_miss(rel, false);
+                misses.partial_fill_fetches += 1;
+                Self::tally_fetch(misses, a.ctx);
             } else {
                 if lane.write_back && blk.dirty != 0 {
-                    lane.stats.count_writeback();
+                    misses.writebacks += 1;
                 }
                 blk.dirty = 0;
                 blk.tag = tag;
                 blk.valid = lane.full_mask;
-                lane.stats.count_read_miss_fetch();
-                lane.stats.count_fetch(a.ctx);
-                lane.stats.count_block_miss(rel, false);
+                misses.read_miss_fetches += 1;
+                Self::tally_fetch(misses, a.ctx);
             }
         } else {
             // Write.
-            if !lane.write_back {
-                lane.stats.count_write_through();
-            }
             if blk.tag == tag {
                 blk.valid |= bit;
                 if lane.write_back {
@@ -197,18 +232,20 @@ impl GridCache {
                 return;
             }
             if lane.write_back && blk.dirty != 0 {
-                lane.stats.count_writeback();
+                misses.writebacks += 1;
             }
             blk.dirty = 0;
             blk.tag = tag;
-            lane.stats.count_block_miss(rel, a.alloc_init);
+            if a.alloc_init {
+                misses.alloc_misses += 1;
+            }
             if lane.fetch_on_write {
                 blk.valid = lane.full_mask;
-                lane.stats.count_write_miss_fetch();
-                lane.stats.count_fetch(a.ctx);
+                misses.write_miss_fetches += 1;
+                Self::tally_fetch(misses, a.ctx);
             } else {
                 blk.valid = bit;
-                lane.stats.count_write_validate_install();
+                misses.write_validate_installs += 1;
             }
             if lane.write_back {
                 blk.dirty = bit;
@@ -216,15 +253,19 @@ impl GridCache {
         }
     }
 
-    /// Update every lane with one decoded batch. Lanes are the outer loop
+    /// Update every lane with one decoded batch. The batch's references
+    /// are counted once for the whole grid; then lanes are the outer loop
     /// so each lane's geometry and hot blocks stay cached across the
     /// whole batch — this is the kernel one batched decode pass drives.
     pub fn consume(&mut self, batch: &EventBatch) {
         let GridCache {
             lanes,
             blocks,
-            events,
+            refs,
         } = self;
+        for a in batch.accesses() {
+            Self::tally_ref(refs, a);
+        }
         for lane in lanes.iter_mut() {
             let n = lane.index_mask as usize + 1;
             let blocks = &mut blocks[lane.base..lane.base + n];
@@ -232,7 +273,6 @@ impl GridCache {
                 Self::step(lane, blocks, a);
             }
         }
-        *events += batch.len() as u64;
     }
 }
 
@@ -242,13 +282,13 @@ impl TraceSink for GridCache {
         let GridCache {
             lanes,
             blocks,
-            events,
+            refs,
         } = self;
+        Self::tally_ref(refs, a);
         for lane in lanes.iter_mut() {
             let n = lane.index_mask as usize + 1;
             Self::step(lane, &mut blocks[lane.base..lane.base + n], a);
         }
-        *events += 1;
     }
 }
 
@@ -261,7 +301,6 @@ pub fn grid_oracle(configs: &[CacheConfig]) -> Vec<Cache> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cachegc_trace::Context;
 
     /// SplitMix64, inlined (no registry deps in this workspace).
     fn splitmix(state: &mut u64) -> u64 {
@@ -344,7 +383,7 @@ mod tests {
                 assert_eq!(cfg, configs[i], "lane order preserved");
                 assert_eq!(
                     stats,
-                    cache.into_stats(),
+                    cache.stats().totals(),
                     "seed {seed:#x}: lane {i} ({cfg}) diverged from its Cache oracle"
                 );
             }

@@ -83,6 +83,14 @@ impl CacheTotals {
         self.mutator_reads + self.mutator_writes + self.collector_reads + self.collector_writes
     }
 
+    /// References made by `ctx`.
+    pub fn refs_by(&self, ctx: Context) -> u64 {
+        match ctx {
+            Context::Mutator => self.mutator_reads + self.mutator_writes,
+            Context::Collector => self.collector_reads + self.collector_writes,
+        }
+    }
+
     /// Read references.
     pub fn reads(&self) -> u64 {
         self.mutator_reads + self.collector_reads
@@ -114,6 +122,14 @@ impl CacheTotals {
     /// Block fetches from main memory.
     pub fn fetches(&self) -> u64 {
         self.mutator_fetches + self.collector_fetches
+    }
+
+    /// Fetches attributed to `ctx` (`M_prog` vs `M_gc`).
+    pub fn fetches_by(&self, ctx: Context) -> u64 {
+        match ctx {
+            Context::Mutator => self.mutator_fetches,
+            Context::Collector => self.collector_fetches,
+        }
     }
 
     /// Element-wise difference `self - earlier`. Panics in debug builds if
@@ -262,10 +278,7 @@ impl CacheStats {
 
     /// References made by `ctx`.
     pub fn refs_by(&self, ctx: Context) -> u64 {
-        match ctx {
-            Context::Mutator => self.mutator_reads + self.mutator_writes,
-            Context::Collector => self.collector_reads + self.collector_writes,
-        }
+        self.totals().refs_by(ctx)
     }
 
     /// Block fetches from main memory — the misses that stall the processor
@@ -276,10 +289,7 @@ impl CacheStats {
 
     /// Fetches attributed to `ctx` (`M_prog` vs `M_gc`).
     pub fn fetches_by(&self, ctx: Context) -> u64 {
-        match ctx {
-            Context::Mutator => self.mutator_fetches,
-            Context::Collector => self.collector_fetches,
-        }
+        self.totals().fetches_by(ctx)
     }
 
     /// Fetches caused by read misses on absent blocks.
@@ -414,6 +424,10 @@ mod tests {
         assert_eq!(d.writebacks, 1);
         assert_eq!(early.add(&d), late);
         assert_eq!(late.delta(&late), CacheTotals::default());
+        assert_eq!(late.refs_by(Context::Mutator), s.refs_by(Context::Mutator));
+        assert_eq!(late.refs_by(Context::Collector), 1);
+        assert_eq!(late.fetches_by(Context::Mutator), 1);
+        assert_eq!(late.fetches_by(Context::Collector), 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use cachegc::gc::{
     NoCollector, Roots,
 };
 use cachegc::heap::{Header, Heap, HeapConfig, ObjKind, Value};
-use cachegc::sim::{Cache, CacheConfig, SetAssocCache, WriteHitPolicy, WriteMissPolicy};
+use cachegc::sim::{Cache, CacheConfig, GridCache, SetAssocCache, WriteHitPolicy, WriteMissPolicy};
 use cachegc::telemetry::Counter;
 use cachegc::testkit::{check, Rng};
 use cachegc::trace::{
@@ -466,6 +466,73 @@ fn work_stealing_chunk_boundary_and_single_worker_edges() {
             assert!(seq == par, "n {n}, jobs {jobs}: instruments diverged");
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// GridCache: per-lane miss counters plus shared reference counts equal
+// independent Cache oracles, fed by batch or by event
+// ---------------------------------------------------------------------
+
+/// Every write-hit × write-miss policy pair, each on one or two caches of
+/// random direct-mapped geometry.
+fn random_policy_grid(rng: &mut Rng) -> Vec<CacheConfig> {
+    let mut configs = Vec::new();
+    for hit in [WriteHitPolicy::WriteBack, WriteHitPolicy::WriteThrough] {
+        for miss in [
+            WriteMissPolicy::WriteValidate,
+            WriteMissPolicy::FetchOnWrite,
+        ] {
+            for _ in 0..rng.range_usize(1, 3) {
+                let size = 1u32 << rng.range_u32(10, 17);
+                let block = 1u32 << rng.range_u32(4, 9);
+                configs.push(
+                    CacheConfig::direct_mapped(size, block)
+                        .with_write_hit(hit)
+                        .with_write_miss(miss),
+                );
+            }
+        }
+    }
+    configs
+}
+
+#[test]
+fn grid_lanes_equal_independent_caches_by_batch_and_by_event() {
+    // The grid counts references once for all lanes (once per batch in
+    // `consume`, once per event in `access`) and derives a write-through
+    // lane's words written through from the shared write count. Stream
+    // lengths around the batch size leave the last batch short or
+    // missing, so refs counted only for full batches would show here.
+    check("grid_lanes_equal_caches", 24, |rng| {
+        let configs = random_policy_grid(rng);
+        let words = 1u32 << rng.range_u32(8, 15);
+        let lens: Vec<usize> = BATCH_EDGES
+            .into_iter()
+            .chain([rng.range_usize(0, 3000)])
+            .collect();
+        for n in lens {
+            let stream = gen_stream(rng, n, words);
+            let mut oracle: Vec<Cache> = configs.iter().map(|&c| Cache::new(c)).collect();
+            let mut by_event = GridCache::new(configs.clone());
+            let mut rec = Recorder::new();
+            for &a in &stream {
+                oracle.iter_mut().for_each(|c| c.access(a));
+                by_event.access(a);
+                rec.access(a);
+            }
+            let mut by_batch = GridCache::new(configs.clone());
+            rec.finish().replay_batched(|b| by_batch.consume(b));
+            assert_eq!(by_batch.events(), n as u64);
+            assert_eq!(by_event.events(), n as u64);
+            for (i, cache) in oracle.iter().enumerate() {
+                let want = cache.stats().totals();
+                let cfg = configs[i];
+                let policy = (cfg.write_hit, cfg.write_miss);
+                assert_eq!(by_batch.stats(i), want, "n {n}, {cfg} {policy:?}: batch");
+                assert_eq!(by_event.stats(i), want, "n {n}, {cfg} {policy:?}: event");
+            }
+        }
+    });
 }
 
 // ---------------------------------------------------------------------
